@@ -15,7 +15,6 @@ use scan_diagnosis::CampaignSpec;
 
 pub mod obs;
 pub mod suite;
-pub mod timing;
 
 pub use obs::ObsSession;
 

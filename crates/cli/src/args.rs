@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use scan_bist::Scheme;
-use scan_sim::SimEngine;
 
 /// A parsed `scanbist` invocation.
 #[derive(Clone, PartialEq, Debug)]
@@ -50,8 +49,6 @@ pub enum Command {
         /// Diagnose one named fault (`NET/SA0` or `NET/SA1`) and print
         /// its full evidence trail instead of running a campaign.
         fault: Option<String>,
-        /// Fault-simulation engine preparing the campaign.
-        engine: SimEngine,
     },
     /// `scanbist soc <descriptor.soc> --faulty <core> [options]` — SOC
     /// diagnosis with one faulty core.
@@ -66,8 +63,6 @@ pub enum Command {
         partitions: usize,
         /// Partitioning scheme.
         scheme: Scheme,
-        /// Fault-simulation engine preparing the campaign.
-        engine: SimEngine,
     },
     /// `scanbist noise <circuit> [options]` — fault-tolerant diagnosis
     /// campaign under injected verdict noise (see
@@ -103,8 +98,6 @@ pub enum Command {
         retries: usize,
         /// Worker threads (`0` = one per available core).
         threads: usize,
-        /// Fault-simulation engine preparing the campaign.
-        engine: SimEngine,
     },
     /// `scanbist bench [options]` — calibrated performance kernels
     /// with baseline comparison (see `docs/BENCHMARKS.md`).
@@ -215,16 +208,6 @@ fn scheme_from(name: &str) -> Result<Scheme, ParseArgsError> {
         "fixed" => Ok(Scheme::FixedInterval),
         other => Err(ParseArgsError(format!(
             "unknown scheme `{other}` (expected two-step|random|interval|fixed)"
-        ))),
-    }
-}
-
-fn engine_from(name: &str) -> Result<SimEngine, ParseArgsError> {
-    match name {
-        "bitpar" => Ok(SimEngine::BitParallel),
-        "event" => Ok(SimEngine::EventDriven),
-        other => Err(ParseArgsError(format!(
-            "unknown engine `{other}` (expected bitpar|event)"
         ))),
     }
 }
@@ -370,12 +353,18 @@ pub fn parse_args<'a, I>(args: I) -> Result<Command, ParseArgsError>
 where
     I: IntoIterator<Item = &'a str>,
 {
-    let mut words = args.into_iter();
+    let words: Vec<&str> = args.into_iter().collect();
+    // `--help`/`-h` anywhere (`scanbist serve --help`) asks for usage,
+    // not for a subcommand run with an unknown flag.
+    if words.iter().any(|w| matches!(*w, "--help" | "-h")) {
+        return Ok(Command::Help);
+    }
+    let mut words = words.into_iter();
     let Some(command) = words.next() else {
         return Ok(Command::Help);
     };
     match command {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+        "help" => Ok(Command::Help),
         "parse" => {
             let path = take_value("parse", &mut words)?.to_owned();
             ensure_done(words)?;
@@ -440,7 +429,6 @@ where
     let mut faults = 100usize;
     let mut scheme = Scheme::TWO_STEP_DEFAULT;
     let mut fault = None;
-    let mut engine = SimEngine::default();
     while let Some(flag) = words.next() {
         match flag {
             "--groups" => groups = parse_num(take_value(flag, &mut words)?)?,
@@ -449,7 +437,6 @@ where
             "--faults" => faults = parse_num(take_value(flag, &mut words)?)?,
             "--scheme" => scheme = scheme_from(take_value(flag, &mut words)?)?,
             "--fault" => fault = Some(take_value(flag, &mut words)?.to_owned()),
-            "--engine" => engine = engine_from(take_value(flag, &mut words)?)?,
             other => return Err(unknown_flag(other)),
         }
     }
@@ -461,7 +448,6 @@ where
         faults,
         scheme,
         fault,
-        engine,
     })
 }
 
@@ -474,14 +460,12 @@ where
     let mut groups = 16u16;
     let mut partitions = 8usize;
     let mut scheme = Scheme::TWO_STEP_DEFAULT;
-    let mut engine = SimEngine::default();
     while let Some(flag) = words.next() {
         match flag {
             "--faulty" => faulty = Some(take_value(flag, &mut words)?.to_owned()),
             "--groups" => groups = parse_num(take_value(flag, &mut words)?)?,
             "--partitions" => partitions = parse_num(take_value(flag, &mut words)?)?,
             "--scheme" => scheme = scheme_from(take_value(flag, &mut words)?)?,
-            "--engine" => engine = engine_from(take_value(flag, &mut words)?)?,
             other => return Err(unknown_flag(other)),
         }
     }
@@ -492,7 +476,6 @@ where
         groups,
         partitions,
         scheme,
-        engine,
     })
 }
 
@@ -515,7 +498,6 @@ where
     let mut votes = 3usize;
     let mut retries = 2usize;
     let mut threads = 0usize;
-    let mut engine = SimEngine::default();
     while let Some(flag) = words.next() {
         match flag {
             "--groups" => groups = parse_num(take_value(flag, &mut words)?)?,
@@ -532,7 +514,6 @@ where
             "--votes" => votes = parse_num(take_value(flag, &mut words)?)?,
             "--retries" => retries = parse_num(take_value(flag, &mut words)?)?,
             "--threads" => threads = parse_num(take_value(flag, &mut words)?)?,
-            "--engine" => engine = engine_from(take_value(flag, &mut words)?)?,
             other => return Err(unknown_flag(other)),
         }
     }
@@ -552,7 +533,6 @@ where
         votes,
         retries,
         threads,
-        engine,
     })
 }
 
@@ -793,18 +773,14 @@ COMMANDS:
   scanbist diagnose <circuit> [--groups G] [--partitions P]
                     [--patterns N] [--faults F]
                     [--scheme two-step|random|interval|fixed]
-                    [--engine bitpar|event]   (fault-sim engine;
-                    bitpar = 64-wide bit-parallel PPSFP, the default;
-                    event = event-driven reference — bit-identical)
                     [--fault NET/SA0]   (single-fault evidence report)
   scanbist soc <file.soc> --faulty <core> [--groups G]
-                    [--partitions P] [--scheme ...] [--engine ...]
+                    [--partitions P] [--scheme ...]
   scanbist noise <circuit> [--groups G] [--partitions P]
                     [--patterns N] [--faults F] [--scheme ...]
                     [--flip R] [--dropout R] [--intermittent R]
                     [--miss R] [--xcorrupt R] [--seed S]
                     [--votes V] [--retries R] [--threads T]
-                    [--engine bitpar|event]
                     (fault-tolerant campaign under verdict noise;
                     --audit-out writes retry/vote/fallback events)
   scanbist bench [--suite NAME] [--quick] [--repeats N] [--warmup N]
@@ -849,6 +825,12 @@ mod tests {
         assert_eq!(parse_args([]).unwrap(), Command::Help);
         assert_eq!(parse_args(["help"]).unwrap(), Command::Help);
         assert_eq!(parse_args(["--help"]).unwrap(), Command::Help);
+        assert_eq!(parse_args(["-h"]).unwrap(), Command::Help);
+        assert_eq!(parse_args(["serve", "--help"]).unwrap(), Command::Help);
+        assert_eq!(
+            parse_args(["diagnose", "s27", "-h"]).unwrap(),
+            Command::Help
+        );
     }
 
     #[test]
@@ -876,38 +858,8 @@ mod tests {
                 faults: 250,
                 scheme: Scheme::RandomSelection,
                 fault: None,
-                engine: SimEngine::BitParallel,
             }
         );
-    }
-
-    #[test]
-    fn parses_engine_flag() {
-        let cmd = parse_args(["diagnose", "s27", "--engine", "event"]).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Diagnose {
-                engine: SimEngine::EventDriven,
-                ..
-            }
-        ));
-        let cmd = parse_args(["noise", "s27", "--engine", "bitpar"]).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Noise {
-                engine: SimEngine::BitParallel,
-                ..
-            }
-        ));
-        let cmd = parse_args(["soc", "chip.soc", "--faulty", "c", "--engine", "event"]).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Soc {
-                engine: SimEngine::EventDriven,
-                ..
-            }
-        ));
-        assert!(parse_args(["diagnose", "s27", "--engine", "psychic"]).is_err());
     }
 
     #[test]

@@ -365,7 +365,9 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
             let _ = write_response(&mut stream, status, content_type, body.as_bytes(), &[]);
         }
         ("POST", "/admin/drain") => {
-            inner.request_drain();
+            // Reply first: once the drain is requested, `Daemon::wait`
+            // may join everything and the process may exit before this
+            // connection thread gets to write.
             let _ = write_response(
                 &mut stream,
                 200,
@@ -373,6 +375,7 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                 b"{\"status\":\"draining\"}",
                 &[],
             );
+            inner.request_drain();
         }
         ("POST", "/diagnose") => {
             handle_diagnose(inner, &mut stream, request, &chaos, request_index);

@@ -31,7 +31,7 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "crates/soc/",
 ];
 
-/// Crates allowed to read wall clocks: the timing harness, the
+/// Crates allowed to read wall clocks: the benchmark suite, the
 /// observability layer (monotonic span timing), and the daemon
 /// (deadline arithmetic and socket timeouts).
 const WALL_CLOCK_CRATES: &[&str] = &["crates/bench/", "crates/obs/", "crates/daemon/"];
@@ -222,7 +222,7 @@ pub fn check_rust(file: &str, tokens: &[Token]) -> (Vec<Finding>, Vec<u32>) {
                     token.line,
                     token.col,
                     format!("`{}::now` read outside crates/bench and crates/obs", token.text),
-                    "route timing through scan_bench::timing or scan-obs spans",
+                    "route timing through scan-obs spans (or the `scanbist bench` suite)",
                 ));
             }
             // L004 — unordered iteration hazard in deterministic crates.
@@ -1065,7 +1065,7 @@ mod tests {
     fn l003_scoped_to_non_timing_crates() {
         let source = "let t = Instant::now();";
         assert_eq!(rules_of(&rust_findings("crates/core/src/a.rs", source)), vec!["L003"]);
-        assert!(rust_findings("crates/bench/src/timing.rs", source).is_empty());
+        assert!(rust_findings("crates/bench/src/suite.rs", source).is_empty());
         assert!(rust_findings("crates/obs/src/span.rs", source).is_empty());
         // `Instant::elapsed` etc. without `now` is fine.
         assert!(rust_findings("crates/core/src/a.rs", "type T = Instant;").is_empty());
@@ -1107,7 +1107,7 @@ mod tests {
         assert!(rust_findings("crates/bench/src/bin/table1.rs", source).is_empty());
         // The bench *library* is not exempt.
         assert_eq!(
-            rules_of(&rust_findings("crates/bench/src/timing.rs", "println!(\"t\");")),
+            rules_of(&rust_findings("crates/bench/src/suite.rs", "println!(\"t\");")),
             vec!["L006"]
         );
     }
@@ -1335,17 +1335,17 @@ mod tests {
 
         // Wall-clock reads in the crates licensed for them are fine
         // even when core reaches them; ambient RNG never is.
-        let core2 = "pub fn run(x: &X) { scan_bench::timing::measure(x); }";
+        let core2 = "pub fn run(x: &X) { scan_bench::suite::measure(x); }";
         let bench = "pub fn measure(x: &X) { let t = Instant::now(); }";
         let f = semantic_default(&[
             ("crates/core/src/diag.rs", core2),
-            ("crates/bench/src/timing.rs", bench),
+            ("crates/bench/src/suite.rs", bench),
         ]);
         assert!(f.iter().all(|x| x.rule != "L014"), "{f:?}");
         let bench_rng = "pub fn measure(x: &X) { let r = thread_rng(); }";
         let f = semantic_default(&[
             ("crates/core/src/diag.rs", core2),
-            ("crates/bench/src/timing.rs", bench_rng),
+            ("crates/bench/src/suite.rs", bench_rng),
         ]);
         assert!(f.iter().any(|x| x.rule == "L014"), "{f:?}");
     }

@@ -16,10 +16,9 @@
 //!   of detected faults (the paper's 500-fault campaigns);
 //! * [`PpsfpSimulator`] — the 64-wide PPSFP campaign engine: cone-
 //!   limited word sweeps, fault dropping, and single-pass sampling
-//!   that keeps each detection's error map;
-//! * [`EventFaultSimulator`] — the event-driven reference oracle;
-//! * [`SimEngine`] — explicit engine selection, threaded through the
-//!   `scan-diagnosis` campaign entry points and the `scanbist` CLI.
+//!   that keeps each detection's error map. It is the one production
+//!   engine; [`FaultSimulator`] is its deliberately simple reference
+//!   oracle (`tests/oracle_diff.rs` keeps the two bit-identical).
 //!
 //! # Examples
 //!
@@ -51,7 +50,6 @@
 
 pub mod chain_fault;
 mod error;
-mod event_sim;
 mod fault;
 mod fault_sim;
 mod pattern;
@@ -62,10 +60,9 @@ mod simulator;
 
 pub use chain_fault::{locate_chain_fault, simulate_chain_fault, ChainFault};
 pub use error::PatternShapeError;
-pub use event_sim::EventFaultSimulator;
 pub use fault::{site_has_fanout, Fault, FaultSite, FaultUniverse};
 pub use fault_sim::FaultSimulator;
-pub use ppsfp::{PpsfpSimulator, SimEngine};
+pub use ppsfp::PpsfpSimulator;
 pub use sequential::SequentialSimulator;
 pub use pattern::PatternSet;
 pub use response::{ErrorMap, ResponseMap};
