@@ -14,7 +14,6 @@ use scan_bist::Scheme;
 use scan_diagnosis::CampaignSpec;
 
 pub mod obs;
-pub mod suite;
 
 pub use obs::ObsSession;
 

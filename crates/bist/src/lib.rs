@@ -14,9 +14,6 @@
 //! * [`Misr`] / [`MisrModel`] — bit-true signature registers plus the
 //!   linear superposition model used to compute error signatures from
 //!   sparse error bits.
-//! * [`WordMisr`] — the fused word-level register advancing up to 64
-//!   clocks per step, for packed scan-out streams from the PPSFP
-//!   simulator.
 //! * [`Prpg`] — LFSR-based stimulus generation.
 //! * [`partition`] — random-selection, interval-based, fixed-interval,
 //!   and two-step partition generation.
@@ -52,6 +49,6 @@ pub mod selection;
 
 pub use error::{BuildLfsrError, FindSeedError};
 pub use lfsr::{primitive_poly, Lfsr, PRIMITIVE_POLYS};
-pub use misr::{Misr, MisrModel, WordMisr};
+pub use misr::{Misr, MisrModel};
 pub use partition::{Partition, PartitionConfig, Scheme};
 pub use prpg::{Prpg, PRPG_DEGREE};

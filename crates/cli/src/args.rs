@@ -99,29 +99,6 @@ pub enum Command {
         /// Worker threads (`0` = one per available core).
         threads: usize,
     },
-    /// `scanbist bench [options]` — calibrated performance kernels
-    /// with baseline comparison (see `docs/BENCHMARKS.md`).
-    Bench {
-        /// Suite name recorded in the output (`diagnosis` by default).
-        suite: String,
-        /// Small circuit / low repeat counts for smoke runs.
-        quick: bool,
-        /// Timed repetitions per kernel (`None` = suite default).
-        repeats: Option<usize>,
-        /// Warmup repetitions per kernel (`None` = suite default).
-        warmup: Option<usize>,
-        /// Where to write the `BENCH_<suite>.json` document
-        /// (`None` = `BENCH_<suite>.json` in the working directory).
-        out: Option<String>,
-        /// Baseline file to compare the fresh run against.
-        baseline: Option<String>,
-        /// Compare this previously written result file against
-        /// `--baseline` instead of running the kernels.
-        compare: Option<String>,
-        /// Regression threshold as a fraction (0.5 = flag kernels more
-        /// than 50% slower than baseline).
-        threshold: f64,
-    },
     /// `scanbist explain <audit.ndjson>` — summarize a diagnosis audit
     /// trace written by `--audit-out`.
     Explain {
@@ -394,7 +371,6 @@ where
         "diagnose" => parse_diagnose(words),
         "soc" => parse_soc(words),
         "noise" => parse_noise(words),
-        "bench" => parse_bench(words),
         "report" => parse_report(words),
         "lint" => parse_lint(words),
         "serve" => parse_serve(words),
@@ -533,55 +509,6 @@ where
         votes,
         retries,
         threads,
-    })
-}
-
-fn parse_bench<'a, I>(mut words: I) -> Result<Command, ParseArgsError>
-where
-    I: Iterator<Item = &'a str>,
-{
-    let mut suite = "diagnosis".to_owned();
-    let mut quick = false;
-    let mut repeats = None;
-    let mut warmup = None;
-    let mut out = None;
-    let mut baseline = None;
-    let mut compare = None;
-    let mut threshold = 0.5f64;
-    while let Some(flag) = words.next() {
-        match flag {
-            "--suite" => take_value(flag, &mut words)?.clone_into(&mut suite),
-            "--quick" => quick = true,
-            "--repeats" => repeats = Some(parse_num(take_value(flag, &mut words)?)?),
-            "--warmup" => warmup = Some(parse_num(take_value(flag, &mut words)?)?),
-            "--out" => out = Some(take_value(flag, &mut words)?.to_owned()),
-            "--baseline" => baseline = Some(take_value(flag, &mut words)?.to_owned()),
-            "--compare" => compare = Some(take_value(flag, &mut words)?.to_owned()),
-            "--threshold" => {
-                threshold = parse_num(take_value(flag, &mut words)?)?;
-                if !(threshold.is_finite() && threshold >= 0.0) {
-                    return Err(ParseArgsError(
-                        "`--threshold` must be a non-negative fraction".into(),
-                    ));
-                }
-            }
-            other => return Err(unknown_flag(other)),
-        }
-    }
-    if compare.is_some() && baseline.is_none() {
-        return Err(ParseArgsError(
-            "`--compare` requires `--baseline <file>`".into(),
-        ));
-    }
-    Ok(Command::Bench {
-        suite,
-        quick,
-        repeats,
-        warmup,
-        out,
-        baseline,
-        compare,
-        threshold,
     })
 }
 
@@ -783,9 +710,6 @@ COMMANDS:
                     [--votes V] [--retries R] [--threads T]
                     (fault-tolerant campaign under verdict noise;
                     --audit-out writes retry/vote/fallback events)
-  scanbist bench [--suite NAME] [--quick] [--repeats N] [--warmup N]
-                    [--out FILE] [--baseline FILE] [--threshold FRAC]
-                    [--compare FILE]   (file-vs-file baseline check)
   scanbist report <trace.ndjson>... [--out FILE] [--title TEXT]
                     (render NDJSON traces/metrics/audits into one
                     self-contained HTML dashboard — span waterfall,
@@ -1073,55 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_bench_command() {
-        let cmd = parse_args(["bench"]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Bench {
-                suite: "diagnosis".into(),
-                quick: false,
-                repeats: None,
-                warmup: None,
-                out: None,
-                baseline: None,
-                compare: None,
-                threshold: 0.5,
-            }
-        );
-
-        let cmd = parse_args([
-            "bench",
-            "--quick",
-            "--suite",
-            "smoke",
-            "--repeats",
-            "3",
-            "--warmup",
-            "1",
-            "--out",
-            "b.json",
-            "--baseline",
-            "base.json",
-            "--threshold",
-            "0.25",
-        ])
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Bench {
-                quick: true,
-                repeats: Some(3),
-                warmup: Some(1),
-                ..
-            }
-        ));
-
-        assert!(parse_args(["bench", "--compare", "b.json"]).is_err());
-        assert!(parse_args(["bench", "--threshold", "-1"]).is_err());
-        assert!(parse_args(["bench", "--bogus"]).is_err());
-    }
-
-    #[test]
     fn parses_explain_command() {
         let cmd = parse_args(["explain", "audit.ndjson"]).unwrap();
         assert_eq!(
@@ -1300,6 +1175,8 @@ mod tests {
     #[test]
     fn rejects_unknown_flags_and_commands() {
         assert!(parse_args(["frobnicate"]).is_err());
+        let removed = parse_args(["bench", "--quick"]).unwrap_err();
+        assert!(removed.0.contains("unknown command `bench`"), "{removed:?}");
         assert!(parse_args(["diagnose", "s953", "--bogus", "1"]).is_err());
         assert!(parse_args(["parse"]).is_err());
         assert!(parse_args(["parse", "a.bench", "extra"]).is_err());

@@ -383,76 +383,6 @@ fn execute<W: Write>(
             .map_err(io_err)?;
             Ok(())
         }
-        Command::Bench {
-            suite,
-            quick,
-            repeats,
-            warmup,
-            out: out_file,
-            baseline,
-            compare,
-            threshold,
-        } => {
-            // File-vs-file compare mode: no kernels run, so the verdict
-            // is deterministic (the regression-gate tests rely on it).
-            if let Some(current_path) = compare {
-                let baseline_path = baseline.as_deref().expect("parser enforces --baseline");
-                let current = load_suite(current_path)?;
-                let base = load_suite(baseline_path)?;
-                let comparison = scan_bench::suite::compare(&current, &base, *threshold);
-                write!(out, "{}", comparison.render(*threshold)).map_err(io_err)?;
-                if !comparison.passed() {
-                    return Err(format!("bench regression against `{baseline_path}`"));
-                }
-                return Ok(());
-            }
-            let mut config = scan_bench::suite::SuiteConfig::new(suite, *quick);
-            if let Some(r) = repeats {
-                config.repeats = (*r).max(1);
-            }
-            if let Some(w) = warmup {
-                config.warmup = *w;
-            }
-            let result = scan_bench::suite::run_suite(&config, |name, stats| {
-                if stats.dropped > 0 {
-                    eprintln!(
-                        "bench: {name}: median {} ns ({} sample(s), {} dropped: \
-                         {:?} ns above the Q3+1.5·IQR cutoff {} ns)",
-                        stats.median_ns,
-                        stats.samples,
-                        stats.dropped,
-                        stats.dropped_ns,
-                        stats.cutoff_ns
-                    );
-                } else {
-                    eprintln!(
-                        "bench: {name}: median {} ns ({} sample(s), 0 dropped)",
-                        stats.median_ns, stats.samples
-                    );
-                }
-            });
-            let document = result.to_json();
-            let out_path = out_file
-                .clone()
-                .unwrap_or_else(|| format!("BENCH_{suite}.json"));
-            scan_obs::export::write_file(std::path::Path::new(&out_path), &document)
-                .map_err(|e| e.to_string())?;
-            eprintln!("bench: wrote {out_path}");
-            if json {
-                write!(out, "{document}").map_err(io_err)?;
-            } else {
-                write!(out, "{}", result.table()).map_err(io_err)?;
-            }
-            if let Some(baseline_path) = baseline {
-                let base = load_suite(baseline_path)?;
-                let comparison = scan_bench::suite::compare(&result, &base, *threshold);
-                write!(out, "{}", comparison.render(*threshold)).map_err(io_err)?;
-                if !comparison.passed() {
-                    return Err(format!("bench regression against `{baseline_path}`"));
-                }
-            }
-            Ok(())
-        }
         Command::Explain { path } => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
@@ -617,12 +547,6 @@ fn write_audit(
         path.display()
     );
     Ok(())
-}
-
-/// Reads and parses a `BENCH_<suite>.json` baseline document.
-fn load_suite(path: &str) -> Result<scan_bench::suite::SuiteResult, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    scan_bench::suite::SuiteResult::from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 // Takes the error by value so it slots into `map_err(io_err)` calls.
@@ -996,115 +920,6 @@ mod tests {
         assert!(text.starts_with("error:"), "{text}");
         let (code, _) = run_to_string(&["explain", "/nonexistent/audit.ndjson"]);
         assert_eq!(code, 1);
-    }
-
-    fn suite_fixture(median_a: u64) -> String {
-        format!(
-            concat!(
-                r#"{{"version":1,"suite":"diagnosis","quick":false,"repeats":5,"warmup":1,"#,
-                r#""kernels":{{"fault_sim":{{"median_ns":{},"p95_ns":1100,"iqr_ns":50,"samples":5,"dropped":0}},"#,
-                r#""misr_compaction":{{"median_ns":2000,"p95_ns":2100,"iqr_ns":40,"samples":5,"dropped":0}}}}}}"#,
-            ),
-            median_a
-        )
-    }
-
-    #[test]
-    fn bench_compare_gates_a_synthetic_slowdown() {
-        let dir = std::env::temp_dir().join("scanbist-bench-compare-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let same = dir.join("same.json");
-        let slow = dir.join("slow.json");
-        std::fs::write(&baseline, suite_fixture(1_000)).unwrap();
-        std::fs::write(&same, suite_fixture(1_000)).unwrap();
-        // Synthetic 2x slowdown on one kernel.
-        std::fs::write(&slow, suite_fixture(2_000)).unwrap();
-
-        let (code, text) = run_to_string(&[
-            "bench",
-            "--compare",
-            same.to_str().unwrap(),
-            "--baseline",
-            baseline.to_str().unwrap(),
-        ]);
-        assert_eq!(code, 0, "identical files must pass: {text}");
-        assert!(text.contains("PASS"), "{text}");
-
-        let (code, text) = run_to_string(&[
-            "bench",
-            "--compare",
-            slow.to_str().unwrap(),
-            "--baseline",
-            baseline.to_str().unwrap(),
-        ]);
-        assert_eq!(code, 1, "2x slowdown must fail: {text}");
-        assert!(text.contains("REGRESSION fault_sim"), "{text}");
-
-        // A generous threshold lets the same slowdown through.
-        let (code, _) = run_to_string(&[
-            "bench",
-            "--compare",
-            slow.to_str().unwrap(),
-            "--baseline",
-            baseline.to_str().unwrap(),
-            "--threshold",
-            "1.5",
-        ]);
-        assert_eq!(code, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_compare_rejects_malformed_baselines() {
-        let dir = std::env::temp_dir().join("scanbist-bench-badfile-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.json");
-        std::fs::write(
-            &bad,
-            "{\"version\":1,\"suite\":\"x\",\"repeats\":1,\"warmup\":0,\"kernels\":{}}",
-        )
-        .unwrap();
-        let (code, text) = run_to_string(&[
-            "bench",
-            "--compare",
-            bad.to_str().unwrap(),
-            "--baseline",
-            bad.to_str().unwrap(),
-        ]);
-        assert_eq!(code, 1);
-        assert!(text.contains("kernels"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_quick_run_writes_baseline_and_passes_self_compare() {
-        let dir = std::env::temp_dir().join("scanbist-bench-run-test");
-        let out_path = dir.join("BENCH_smoke.json");
-        let out_str = out_path.to_str().unwrap().to_owned();
-        let (code, text) = run_to_string(&[
-            "bench",
-            "--quick",
-            "--suite",
-            "smoke",
-            "--repeats",
-            "1",
-            "--warmup",
-            "0",
-            "--out",
-            &out_str,
-        ]);
-        assert_eq!(code, 0, "output: {text}");
-        assert!(text.contains("fault_sim"), "{text}");
-        let document = std::fs::read_to_string(&out_path).expect("bench output written");
-        let parsed = scan_bench::suite::SuiteResult::from_json(&document).unwrap();
-        assert_eq!(parsed.suite, "smoke");
-        assert_eq!(parsed.kernels.len(), 9);
-
-        // The file it just wrote is its own fixed point under compare.
-        let (code, text) = run_to_string(&["bench", "--compare", &out_str, "--baseline", &out_str]);
-        assert_eq!(code, 0, "output: {text}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -48,9 +48,13 @@ struct Scorecard {
     connect_failures: usize,
     chaos_injected: usize,
     truncated: usize,
+    /// Truncated replies without an `X-Scanbist-Chaos` header.
+    uninjected_truncations: usize,
     max_queue_depth: usize,
     /// Latencies of admitted (HTTP 200) requests, microseconds.
     ok_latencies_us: Vec<u64>,
+    /// Wall time from the scenario's start to its last reply.
+    elapsed: Duration,
 }
 
 impl Scorecard {
@@ -61,6 +65,9 @@ impl Scorecard {
         }
         if reply.truncated {
             self.truncated += 1;
+            if reply.chaos.is_none() {
+                self.uninjected_truncations += 1;
+            }
             return;
         }
         if let Some(depth) = reply.queue_depth {
@@ -79,11 +86,31 @@ impl Scorecard {
         }
     }
 
-    /// Real (non-injected) server-side failures: any status outside
-    /// the engineered set {200, 429, 503, 504}. The verify smoke
-    /// asserts zero.
+    /// A request that got no parseable reply (refused connection,
+    /// I/O error, or no status line).
+    fn connect_failed(&mut self) {
+        self.sent += 1;
+        self.connect_failures += 1;
+    }
+
+    /// Real (non-injected) failures: any status outside the engineered
+    /// set {200, 429, 503, 504}, any request without a parseable reply,
+    /// and any truncated reply the daemon did not tag as chaos. The
+    /// verify smoke asserts zero.
     fn real_failures(&self) -> usize {
-        self.other_status
+        self.other_status + self.connect_failures + self.uninjected_truncations
+    }
+
+    /// Admitted requests per second of elapsed wall time.
+    fn goodput_rps(&self) -> f64 {
+        let seconds = self.elapsed.as_secs_f64();
+        if seconds > 0.0 {
+            #[allow(clippy::cast_precision_loss)]
+            let ok = self.ok as f64;
+            ok / seconds
+        } else {
+            0.0
+        }
     }
 }
 
@@ -365,8 +392,7 @@ fn run_scenario(options: &Options, rate: f64, label: &str) -> Scorecard {
                     }
                     Err(_) => {
                         if let Ok(mut card) = scorecard.lock() {
-                            card.sent += 1;
-                            card.connect_failures += 1;
+                            card.connect_failed();
                         }
                     }
                 }
@@ -374,19 +400,21 @@ fn run_scenario(options: &Options, rate: f64, label: &str) -> Scorecard {
         }
     });
     let mut card = scorecard.into_inner().unwrap_or_default();
+    card.elapsed = start.elapsed();
     card.ok_latencies_us.sort_unstable();
-    #[allow(clippy::cast_precision_loss)]
-    let goodput = card.ok as f64 / start.elapsed().as_secs_f64();
     println!(
-        "scenario {label}: offered {rate:.0}/s sent {} ok {} 429 {} 503 {} 504 {} other {} chaos {} truncated {} goodput {goodput:.1}/s p99 {} us depth<= {}",
+        "scenario {label}: offered {rate:.0}/s sent {} ok {} 429 {} 503 {} 504 {} other {} connect-failed {} chaos {} truncated {} real-failures {} goodput {:.1}/s p99 {} us depth<= {}",
         card.sent,
         card.ok,
         card.shed_429,
         card.unavailable_503,
         card.deadline_504,
         card.other_status,
+        card.connect_failures,
         card.chaos_injected,
         card.truncated,
+        card.real_failures(),
+        card.goodput_rps(),
         percentile(&card.ok_latencies_us, 0.99),
         card.max_queue_depth,
     );
@@ -394,13 +422,11 @@ fn run_scenario(options: &Options, rate: f64, label: &str) -> Scorecard {
 }
 
 fn scenario_json(label: &str, rate: f64, duration_ms: u64, card: &Scorecard) -> String {
-    #[allow(clippy::cast_precision_loss)]
-    let goodput = card.ok as f64 / (duration_ms as f64 / 1_000.0);
     format!(
         "{{\"label\":\"{label}\",\"offered_rps\":{rate:.2},\"duration_ms\":{duration_ms},\
 \"sent\":{},\"ok\":{},\"shed_429\":{},\"unavailable_503\":{},\"deadline_504\":{},\
 \"other_status\":{},\"connect_failures\":{},\"chaos_injected\":{},\"truncated\":{},\
-\"real_failures\":{},\"max_queue_depth\":{},\"goodput_rps\":{goodput:.2},\
+\"real_failures\":{},\"max_queue_depth\":{},\"goodput_rps\":{:.2},\
 \"latency_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}}}}",
         card.sent,
         card.ok,
@@ -413,6 +439,7 @@ fn scenario_json(label: &str, rate: f64, duration_ms: u64, card: &Scorecard) -> 
         card.truncated,
         card.real_failures(),
         card.max_queue_depth,
+        card.goodput_rps(),
         percentile(&card.ok_latencies_us, 0.50),
         percentile(&card.ok_latencies_us, 0.95),
         percentile(&card.ok_latencies_us, 0.99),
@@ -501,4 +528,55 @@ fn main() {
         println!("wrote {out}");
     }
     std::process::exit(i32::from(real_failures > 0));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn reply(status: u16, chaos: Option<&str>, truncated: bool) -> Reply {
+        Reply {
+            status,
+            chaos: chaos.map(str::to_owned),
+            queue_depth: None,
+            truncated,
+            latency: Duration::from_micros(500),
+        }
+    }
+
+    #[test]
+    fn uninjected_truncations_and_connect_failures_are_real() {
+        let mut card = Scorecard::default();
+        card.absorb(&reply(200, None, false));
+        card.absorb(&reply(200, None, true));
+        card.connect_failed();
+        assert_eq!(card.sent, 3);
+        assert_eq!(card.real_failures(), 2);
+    }
+
+    #[test]
+    fn chaos_tagged_truncations_are_not_real() {
+        let mut card = Scorecard::default();
+        card.absorb(&reply(200, Some("truncate"), true));
+        for status in [200, 429, 503, 504] {
+            card.absorb(&reply(status, None, false));
+        }
+        assert_eq!(card.truncated, 1);
+        assert_eq!(card.real_failures(), 0);
+        card.absorb(&reply(500, None, false));
+        assert_eq!(card.real_failures(), 1);
+    }
+
+    #[test]
+    fn goodput_divides_by_elapsed_time() {
+        let mut card = Scorecard::default();
+        assert!(card.goodput_rps().abs() < 1e-12);
+        for _ in 0..30 {
+            card.absorb(&reply(200, None, false));
+        }
+        card.absorb(&reply(429, None, false));
+        card.elapsed = Duration::from_millis(1_500);
+        assert!((card.goodput_rps() - 20.0).abs() < 1e-9);
+        assert!(scenario_json("x", 50.0, 1_000, &card).contains("\"goodput_rps\":20.00,"));
+    }
 }

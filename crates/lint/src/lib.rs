@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | L001 | `no-external-deps` | every dependency is a workspace path dep |
 //! | L002 | `no-ambient-rng` | no `thread_rng`/`rand::`/`from_entropy` |
-//! | L003 | `no-wall-clock-in-core` | clocks only in `crates/bench`+`crates/obs` |
+//! | L003 | `no-wall-clock-in-core` | clocks only in `crates/obs`+`crates/daemon` |
 //! | L004 | `no-unordered-iteration` | no `HashMap`/`HashSet` in deterministic crates |
 //! | L005 | `unsafe-needs-safety-comment` | every `unsafe` carries `// SAFETY:` |
 //! | L006 | `stdout-cleanliness` | stdout only in `crates/cli` + experiment bins |

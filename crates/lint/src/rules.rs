@@ -31,10 +31,10 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "crates/soc/",
 ];
 
-/// Crates allowed to read wall clocks: the benchmark suite, the
-/// observability layer (monotonic span timing), and the daemon
-/// (deadline arithmetic and socket timeouts).
-const WALL_CLOCK_CRATES: &[&str] = &["crates/bench/", "crates/obs/", "crates/daemon/"];
+/// Crates allowed to read wall clocks: the observability layer
+/// (monotonic span timing) and the daemon (deadline arithmetic and
+/// socket timeouts).
+const WALL_CLOCK_CRATES: &[&str] = &["crates/obs/", "crates/daemon/"];
 
 /// Paths allowed to print to stdout: the CLI front end (stdout is its
 /// payload channel), the experiment bins (same contract, enforced
@@ -209,7 +209,7 @@ pub fn check_rust(file: &str, tokens: &[Token]) -> (Vec<Finding>, Vec<u32>) {
                 "`rand::` path — the external rand crate is banned".to_owned(),
                 "derive a keyed stream from the vendored scan-rng crate instead",
             )),
-            // L003 — wall clocks outside bench/obs.
+            // L003 — wall clocks outside obs/daemon.
             "Instant" | "SystemTime"
                 if !under(file, WALL_CLOCK_CRATES)
                     && path_sep_follows(&sig, i)
@@ -221,8 +221,8 @@ pub fn check_rust(file: &str, tokens: &[Token]) -> (Vec<Finding>, Vec<u32>) {
                     file,
                     token.line,
                     token.col,
-                    format!("`{}::now` read outside crates/bench and crates/obs", token.text),
-                    "route timing through scan-obs spans (or the `scanbist bench` suite)",
+                    format!("`{}::now` read outside crates/obs and crates/daemon", token.text),
+                    "route timing through scan-obs spans",
                 ));
             }
             // L004 — unordered iteration hazard in deterministic crates.
@@ -1065,8 +1065,10 @@ mod tests {
     fn l003_scoped_to_non_timing_crates() {
         let source = "let t = Instant::now();";
         assert_eq!(rules_of(&rust_findings("crates/core/src/a.rs", source)), vec!["L003"]);
-        assert!(rust_findings("crates/bench/src/suite.rs", source).is_empty());
         assert!(rust_findings("crates/obs/src/span.rs", source).is_empty());
+        assert!(rust_findings("crates/daemon/src/server.rs", source).is_empty());
+        // The experiment harness holds no clock licence.
+        assert_eq!(rules_of(&rust_findings("crates/bench/src/x.rs", source)), vec!["L003"]);
         // `Instant::elapsed` etc. without `now` is fine.
         assert!(rust_findings("crates/core/src/a.rs", "type T = Instant;").is_empty());
     }
@@ -1107,7 +1109,7 @@ mod tests {
         assert!(rust_findings("crates/bench/src/bin/table1.rs", source).is_empty());
         // The bench *library* is not exempt.
         assert_eq!(
-            rules_of(&rust_findings("crates/bench/src/suite.rs", "println!(\"t\");")),
+            rules_of(&rust_findings("crates/bench/src/lib.rs", "println!(\"t\");")),
             vec!["L006"]
         );
     }
@@ -1335,17 +1337,25 @@ mod tests {
 
         // Wall-clock reads in the crates licensed for them are fine
         // even when core reaches them; ambient RNG never is.
-        let core2 = "pub fn run(x: &X) { scan_bench::suite::measure(x); }";
-        let bench = "pub fn measure(x: &X) { let t = Instant::now(); }";
+        let core2 = "pub fn run(x: &X) { scan_obs::clock::measure(x); }";
+        let clock = "pub fn measure(x: &X) { let t = Instant::now(); }";
         let f = semantic_default(&[
             ("crates/core/src/diag.rs", core2),
-            ("crates/bench/src/suite.rs", bench),
+            ("crates/obs/src/clock.rs", clock),
         ]);
         assert!(f.iter().all(|x| x.rule != "L014"), "{f:?}");
-        let bench_rng = "pub fn measure(x: &X) { let r = thread_rng(); }";
+        let ambient_rng = "pub fn measure(x: &X) { let r = thread_rng(); }";
         let f = semantic_default(&[
             ("crates/core/src/diag.rs", core2),
-            ("crates/bench/src/suite.rs", bench_rng),
+            ("crates/obs/src/clock.rs", ambient_rng),
+        ]);
+        assert!(f.iter().any(|x| x.rule == "L014"), "{f:?}");
+        // The experiment harness holds no clock licence, so core
+        // reaching a clock read there is tainted.
+        let core3 = "pub fn run(x: &X) { scan_bench::timer::measure(x); }";
+        let f = semantic_default(&[
+            ("crates/core/src/diag.rs", core3),
+            ("crates/bench/src/timer.rs", clock),
         ]);
         assert!(f.iter().any(|x| x.rule == "L014"), "{f:?}");
     }

@@ -17,8 +17,6 @@
 //! * a daemon goodput document (JSON with a `scenarios` array, written
 //!   by `scanbistd-loadgen`): every scenario carries its offered rate,
 //!   outcome counts, latency percentiles — and zero real failures;
-//! * a bench baseline (JSON with `suite`/`kernels` members): every
-//!   kernel must carry numeric `median_ns`/`p95_ns`/`iqr_ns`;
 //! * a JSON metrics snapshot (any other JSON: one object with
 //!   `counters` / `histograms` / `spans` members).
 //!
@@ -38,7 +36,7 @@
 //! Exits nonzero with a message on the first failure —
 //! `scripts/verify.sh` runs this against an instrumented smoke
 //! campaign, a live scrape, a multi-process trace join, and a
-//! quick-mode bench run.
+//! daemon load burst's goodput document.
 
 use std::process::ExitCode;
 
@@ -513,41 +511,6 @@ fn check_fault_event(value: &Value) -> Result<(), String> {
     Ok(())
 }
 
-fn check_bench(path: &str, value: &Value) -> Result<(), String> {
-    if value.get("version").and_then(Value::as_f64).is_none() {
-        return Err(format!("{path}: bench baseline missing numeric \"version\""));
-    }
-    let suite = value
-        .get("suite")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{path}: bench baseline missing \"suite\""))?;
-    let kernels = value
-        .get("kernels")
-        .and_then(Value::as_object)
-        .ok_or_else(|| format!("{path}: bench baseline missing \"kernels\" object"))?;
-    if kernels.is_empty() {
-        return Err(format!("{path}: bench baseline has no kernels"));
-    }
-    for (name, kernel) in kernels {
-        for member in ["median_ns", "p95_ns", "iqr_ns"] {
-            let ok = kernel
-                .get(member)
-                .and_then(Value::as_f64)
-                .is_some_and(|v| v >= 0.0);
-            if !ok {
-                return Err(format!(
-                    "{path}: kernel `{name}` missing non-negative \"{member}\""
-                ));
-            }
-        }
-    }
-    eprintln!(
-        "obs-check: {path}: bench baseline OK (suite `{suite}`, {} kernel(s))",
-        kernels.len()
-    );
-    Ok(())
-}
-
 /// A `scanbistd-loadgen` goodput document (`BENCH_daemon.json`):
 /// per-scenario overload evidence instead of per-kernel timings.
 fn check_daemon_bench(path: &str, value: &Value) -> Result<(), String> {
@@ -648,14 +611,11 @@ fn check(path: &str) -> Result<(), String> {
     if path.ends_with(".folded") {
         return check_folded(path, &text);
     }
-    // Dispatch the rest on content: JSON documents are either a bench
-    // baseline (`suite`/`kernels`) or a metrics snapshot; anything that
-    // is not JSON is expected to be a collapsed-stack profile.
+    // Dispatch the rest on content: JSON documents are either a daemon
+    // goodput document (`scenarios`) or a metrics snapshot; anything
+    // that is not JSON is expected to be a collapsed-stack profile.
     if text.trim_start().starts_with('{') {
         let value = parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        if value.get("kernels").is_some() {
-            return check_bench(path, &value);
-        }
         if value.get("scenarios").is_some() {
             return check_daemon_bench(path, &value);
         }

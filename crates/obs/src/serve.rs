@@ -26,8 +26,8 @@
 //! threads and shares nothing with the server but the registry locks.
 //! A client that connects and then sends nothing (slow loris) is cut
 //! off by the read timeout with a `408`; a declared request body over
-//! the configurable [`set_body_limit`] is rejected with `413` without
-//! ever being read.
+//! [`DEFAULT_BODY_LIMIT`] is rejected with `413` without ever being
+//! read.
 //!
 //! **Clean shutdown:** [`MetricsServer::stop`] flips a flag and nudges
 //! the listener with a loopback connect so the accept loop observes it
@@ -39,7 +39,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,28 +49,13 @@ use crate::timeseries::{self, SeriesRollup};
 const REQUEST_CAP: usize = 8 * 1024;
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Default ceiling for declared request bodies (`Content-Length`).
-/// Metrics routes are GET-only, so anything nontrivial is suspicious;
-/// the limit exists so a misdirected upload is refused with `413`
-/// instead of being read to EOF.
+/// Ceiling for declared request bodies (`Content-Length`); larger
+/// requests are refused with `413 Payload Too Large`. Metrics routes
+/// are GET-only, so anything nontrivial is suspicious; the limit exists
+/// so a misdirected upload is refused instead of being read to EOF.
 pub const DEFAULT_BODY_LIMIT: usize = 64 * 1024;
 
-static BODY_LIMIT: AtomicUsize = AtomicUsize::new(DEFAULT_BODY_LIMIT);
 static READY: AtomicBool = AtomicBool::new(true);
-
-/// Sets the `Content-Length` ceiling above which requests are refused
-/// with `413 Payload Too Large`. Applies to every in-process
-/// [`MetricsServer`] and to daemons reusing [`route`] + this module's
-/// request reader.
-pub fn set_body_limit(limit: usize) {
-    BODY_LIMIT.store(limit.max(1), Ordering::Release);
-}
-
-/// The current request-body ceiling (see [`set_body_limit`]).
-#[must_use]
-pub fn body_limit() -> usize {
-    BODY_LIMIT.load(Ordering::Acquire)
-}
 
 /// Flips the process-wide readiness bit behind `GET /readyz`.
 /// `true` (the default) answers `200 {"status":"ready"}`; `false`
@@ -176,7 +161,7 @@ enum HeadError {
     Malformed,
     /// The client stalled past the read timeout (slow loris).
     Timeout,
-    /// The declared `Content-Length` exceeds [`body_limit`].
+    /// The declared `Content-Length` exceeds [`DEFAULT_BODY_LIMIT`].
     BodyTooLarge,
 }
 
@@ -219,7 +204,7 @@ fn handle_connection(mut conn: TcpStream) {
 
 /// Reads the request head (up to [`REQUEST_CAP`]) and returns the
 /// request target of a well-formed `GET <target> HTTP/1.x` line.
-/// Declared bodies over [`body_limit`] are refused without being read.
+/// Declared bodies over [`DEFAULT_BODY_LIMIT`] are refused without being read.
 fn read_request_target(conn: &mut TcpStream) -> Result<String, HeadError> {
     let mut head = Vec::new();
     let mut buf = [0u8; 512];
@@ -258,7 +243,7 @@ fn read_request_target(conn: &mut TcpStream) -> Result<String, HeadError> {
         };
         if name.trim().eq_ignore_ascii_case("content-length") {
             match value.trim().parse::<usize>() {
-                Ok(len) if len > body_limit() => return Err(HeadError::BodyTooLarge),
+                Ok(len) if len > DEFAULT_BODY_LIMIT => return Err(HeadError::BodyTooLarge),
                 Ok(_) => {}
                 Err(_) => return Err(HeadError::Malformed),
             }

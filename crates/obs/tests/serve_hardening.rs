@@ -97,22 +97,6 @@ fn malformed_content_length_is_a_bad_request() {
 }
 
 #[test]
-fn body_limit_is_configurable() {
-    // Lowering the limit keeps smaller-but-still-over requests out;
-    // restore the default afterwards (the limit is process-global).
-    serve::set_body_limit(128);
-    assert_eq!(serve::body_limit(), 128);
-    let server = MetricsServer::start("127.0.0.1:0").expect("bind ephemeral");
-    let response = raw_request(
-        server.addr(),
-        "GET /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 256\r\n\r\n",
-    );
-    assert!(response.starts_with("HTTP/1.1 413"), "{response}");
-    server.stop();
-    serve::set_body_limit(serve::DEFAULT_BODY_LIMIT);
-}
-
-#[test]
 fn readyz_flips_to_503_while_draining() {
     let server = MetricsServer::start("127.0.0.1:0").expect("bind ephemeral");
     let addr = server.addr();

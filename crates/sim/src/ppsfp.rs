@@ -21,9 +21,8 @@
 //! * **Fused compaction.** [`PpsfpSimulator::sweep`] streams packed
 //!   `(position, word, diff)` triples to a caller-supplied sink during
 //!   the propagation sweep itself, so MISR signature accumulation (see
-//!   `scan_bist::WordMisr` and `DiagnosisPlan::analyze_packed` in
-//!   `scan-diagnosis`) consumes error words without an intermediate
-//!   per-bit pass.
+//!   `DiagnosisPlan::analyze_packed` in `scan-diagnosis`) consumes
+//!   error words without an intermediate per-bit pass.
 //!
 //! It is the workspace's one production fault-simulation engine and is
 //! bit-exact with the whole-circuit reference oracle

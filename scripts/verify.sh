@@ -20,6 +20,11 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The end-to-end benchmark is its own crate: its tests pin its output
+# checks and compile it against every workspace API it drives.
+echo "==> cargo test --release --offline -q --manifest-path perfbench/Cargo.toml"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 SMOKE_DIR=target/obs-smoke
 mkdir -p "$SMOKE_DIR"
 
@@ -78,12 +83,6 @@ echo "==> noisy-campaign smoke (scanbist noise --audit-out)"
 grep -q '"inconclusive":0' "$SMOKE_DIR/noise_summary.json" || {
     echo "noisy smoke left faults inconclusive:"; cat "$SMOKE_DIR/noise_summary.json"; exit 1;
 }
-
-echo "==> quick bench smoke (scanbist bench --quick)"
-./target/release/scanbist \
-    bench --quick --out "$SMOKE_DIR/BENCH_quick.json" \
-    > "$SMOKE_DIR/bench_table.txt" 2> "$SMOKE_DIR/bench_progress.txt"
-./target/release/obs-check "$SMOKE_DIR/BENCH_quick.json"
 
 echo "==> live metrics smoke (--serve-metrics, scraped mid-campaign)"
 ./target/release/scanbist \
