@@ -8,8 +8,8 @@
 //! that partition — the full convergence curve behind Fig. 5, one
 //! fault at a time.
 //!
-//! Traces serialize to NDJSON (`scanbist --audit-out <path> diagnose …`),
-//! are validated by `obs-check`, and are summarized back into a
+//! Traces serialize to NDJSON (`scanbist --audit-out <path> diagnose …`)
+//! in the shapes `scan_obs::schema` defines, and are summarized back into a
 //! human-readable report by `scanbist explain <audit.ndjson>` via
 //! [`summarize_ndjson`]. Auditing is a separate replay pass over the
 //! prepared campaign — the diagnosis hot path is untouched, so audited
@@ -65,7 +65,7 @@ pub struct CampaignAudit {
 
 impl CampaignAudit {
     /// Renders the NDJSON stream: a `meta` line followed by one `fault`
-    /// line per record. The shape is what `obs-check` validates.
+    /// line per record, in the shapes `scan_obs::schema` defines.
     #[must_use]
     pub fn to_ndjson(&self) -> String {
         let mut out = String::new();
@@ -206,8 +206,8 @@ fn write_event(out: &mut String, fault_index: usize, event: &RobustEvent) {
 impl RobustAudit {
     /// Renders the NDJSON stream: a `meta` line (kind `robust-audit`),
     /// then per fault its `retry`/`vote`/`fallback` event records
-    /// followed by the `fault` record. The shape is what `obs-check`
-    /// validates.
+    /// followed by the `fault` record, in the shapes `scan_obs::schema`
+    /// defines.
     #[must_use]
     pub fn to_ndjson(&self) -> String {
         let mut out = String::new();
@@ -415,6 +415,7 @@ fn parse_fault(value: &Value) -> Result<(u64, u64, Vec<u64>, Vec<String>), Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scan_obs::schema;
 
     fn sample() -> CampaignAudit {
         CampaignAudit {
@@ -479,9 +480,7 @@ mod tests {
 
     #[test]
     fn ndjson_lines_parse_back() {
-        for line in sample().to_ndjson().lines() {
-            json::parse(line).expect("audit NDJSON must be valid JSON");
-        }
+        schema::check_stream(&sample().to_ndjson()).expect("audit matches the schema");
     }
 
     #[test]
@@ -558,25 +557,21 @@ mod tests {
 
     #[test]
     fn robust_ndjson_lines_parse_back() {
-        let text = robust_sample().to_ndjson();
-        let mut kinds = Vec::new();
-        for line in text.lines() {
-            let value = json::parse(line).expect("robust audit NDJSON must be valid JSON");
-            kinds.push(
-                value
-                    .get("type")
-                    .and_then(Value::as_str)
-                    .expect("every line has a type")
-                    .to_owned(),
-            );
-        }
+        let records = schema::check_stream(&robust_sample().to_ndjson())
+            .expect("robust audit matches the schema");
+        let kinds: Vec<&str> = records
+            .iter()
+            .filter_map(|r| r.get("type").and_then(Value::as_str))
+            .collect();
         assert_eq!(kinds, ["meta", "retry", "vote", "fallback", "fault"]);
-        let meta = json::parse(text.lines().next().unwrap()).unwrap();
         assert_eq!(
-            meta.get("kind").and_then(Value::as_str),
+            records[0].get("kind").and_then(Value::as_str),
             Some("robust-audit")
         );
-        assert_eq!(meta.get("flip_rate").and_then(Value::as_f64), Some(0.02));
+        assert_eq!(
+            records[0].get("flip_rate").and_then(Value::as_f64),
+            Some(0.02)
+        );
     }
 
     #[test]
@@ -591,14 +586,15 @@ mod tests {
 
     #[test]
     fn robust_fault_records_satisfy_strict_fault_shape() {
-        // The `fault` records of a robust audit must stay parseable by
-        // the plain-audit fault parser (obs-check shares the shape).
+        // The `fault` records of a robust audit keep the schema's
+        // `fault` shape, so the plain-audit fault parser reads them.
         let text = robust_sample().to_ndjson();
         let fault_line = text
             .lines()
             .find(|l| l.contains(r#""type":"fault""#))
             .unwrap();
         let value = json::parse(fault_line).unwrap();
+        assert_eq!(schema::check_record(&value), Ok("fault"));
         parse_fault(&value).expect("robust fault keeps the strict shape");
         assert_eq!(
             value.get("confidence").and_then(Value::as_str),

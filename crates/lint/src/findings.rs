@@ -1,5 +1,5 @@
 //! Finding representation and the two report formats: a human table
-//! (stderr) and NDJSON (`--out`, validated by `obs-check`).
+//! (stderr) and NDJSON (`--out`, record shapes in `scan_obs::schema`).
 
 use std::fmt::Write as _;
 
@@ -140,8 +140,8 @@ impl LintReport {
 
     /// Renders the NDJSON stream: one `finding` event per finding
     /// (suppressed included, marked) and one trailing `lint` summary
-    /// event — so the stream is never empty and `obs-check` always has
-    /// something to validate.
+    /// event — so the stream is never empty and always has something to
+    /// validate against `scan_obs::schema`.
     #[must_use]
     pub fn render_ndjson(&self) -> String {
         let mut out = String::new();
@@ -268,8 +268,9 @@ mod tests {
     #[test]
     fn ndjson_includes_suppressed_marked() {
         let ndjson = sample().render_ndjson();
+        let records = scan_obs::schema::check_stream(&ndjson).expect("export matches the schema");
+        assert_eq!(records.len(), 3);
         let lines: Vec<&str> = ndjson.lines().collect();
-        assert_eq!(lines.len(), 3);
         assert!(lines[1].contains("\"suppressed\":\"membership-only\""));
         assert!(lines[2].contains("\"type\":\"lint\""));
         assert!(lines[2].contains("\"findings\":1"));
@@ -293,6 +294,7 @@ mod tests {
         let table = report.render_table();
         assert!(table.contains("via scan_daemon::server::handle (crates/daemon/src/server.rs:100)"));
         let ndjson = report.render_ndjson();
+        scan_obs::schema::check_stream(&ndjson).expect("export matches the schema");
         let first = ndjson.lines().next().unwrap();
         assert!(
             first.contains(

@@ -187,8 +187,8 @@ impl Graph {
     }
 
     /// Render the graph + facts as NDJSON (`graph_fn` / `graph_edge`
-    /// records plus a trailing `graph` summary), the shape `obs-check`
-    /// validates.
+    /// records plus a trailing `graph` summary), in the shapes
+    /// `scan_obs::schema` defines.
     #[must_use]
     pub fn render_ndjson(&self) -> String {
         use std::fmt::Write as _;
@@ -567,6 +567,7 @@ mod tests {
             "pub fn entry() { helper(); }\nfn helper() { x.unwrap(); }",
         )]);
         let nd = g.render_ndjson();
+        scan_obs::schema::check_stream(&nd).expect("export matches the schema");
         assert!(nd.contains("\"type\":\"graph_fn\""));
         assert!(nd.contains("\"type\":\"graph_edge\""));
         let last = nd.lines().last().unwrap();

@@ -196,6 +196,7 @@ fn out_writes_obs_check_compatible_ndjson() {
     assert!(output.status.success(), "without --deny the exit is 0");
     let text = std::fs::read_to_string(&out).expect("NDJSON written");
     std::fs::remove_file(&out).ok();
+    scan_obs::schema::check_stream(&text).expect("export matches the schema");
     let lines: Vec<&str> = text.lines().collect();
     assert!(
         lines.iter().any(|l| l.contains("\"type\":\"finding\"") && l.contains("L004")),

@@ -62,6 +62,7 @@ pub mod query;
 pub mod recorder;
 pub mod registry;
 pub mod report;
+pub mod schema;
 pub mod serve;
 pub mod slo;
 pub mod span;

@@ -21,7 +21,7 @@
 //!
 //! A dump is two files: a versioned NDJSON stream at the configured
 //! path — a `{"type":"flight"}` header, the ring events (`span`,
-//! `delta`, `tick`, `alert` records, all validated by `obs-check`), and
+//! `delta`, `tick`, `alert` records; shapes in [`crate::schema`]), and
 //! the session's `context` record, every line trace-stamped so the dump
 //! joins the parent trace under `obs-check --join` — plus a
 //! human-readable `.txt` twin with the trace identity and the self-time
@@ -379,37 +379,23 @@ mod tests {
         // A second dump attempt is a no-op.
         assert!(dump("error").expect("dump").is_none());
         let text = std::fs::read_to_string(&path).expect("read dump");
-        let mut lines = text.lines();
-        let header = crate::json::parse(lines.next().expect("header")).expect("header json");
+        let records = crate::schema::check_stream(&text).expect("dump matches the schema");
+        let types: Vec<&str> = records
+            .iter()
+            .filter_map(|r| r.get("type").and_then(crate::json::Value::as_str))
+            .collect();
+        assert_eq!(types[0], "flight", "{types:?}");
         assert_eq!(
-            header.get("type").and_then(crate::json::Value::as_str),
-            Some("flight")
-        );
-        assert_eq!(
-            header.get("version").and_then(crate::json::Value::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            header.get("reason").and_then(crate::json::Value::as_str),
+            records[0]
+                .get("reason")
+                .and_then(crate::json::Value::as_str),
             Some("error")
         );
         // Ring capacity 4: the 10 span closes were evicted down to the
-        // final mix; every line parses and the types are the black-box
-        // set.
-        let mut types = Vec::new();
-        for line in text.lines().skip(1) {
-            let value = crate::json::parse(line).expect("event json");
-            types.push(
-                value
-                    .get("type")
-                    .and_then(crate::json::Value::as_str)
-                    .expect("typed")
-                    .to_owned(),
-            );
-        }
-        assert!(types.len() <= 4 + 1, "{types:?}"); // ring + optional context
-        assert!(types.contains(&"alert".to_owned()), "{types:?}");
-        assert!(types.contains(&"tick".to_owned()), "{types:?}");
+        // final mix, which keeps the alert and the tick.
+        assert!(types.len() <= 1 + 4 + 1, "{types:?}"); // header + ring + optional context
+        assert!(types.contains(&"alert"), "{types:?}");
+        assert!(types.contains(&"tick"), "{types:?}");
         let summary = std::fs::read_to_string(path.with_extension("txt")).expect("summary");
         assert!(summary.contains("flight recorder dump"), "{summary}");
         assert!(summary.contains("reason:  error"), "{summary}");

@@ -857,7 +857,7 @@ mod tests {
                 "{\"type\":\"counter\",\"name\":\"ppsfp.faults_dropped\",\"value\":17}\n",
                 "{\"type\":\"hist\",\"name\":\"lat\",\"hist\":{\"edges\":[1,2],\"counts\":[1,1,0],\"total\":2,\"sum\":3}}\n",
                 "{\"type\":\"ts\",\"name\":\"work.items\",\"samples\":[[0,0],[100,5],[200,9]]}\n",
-                "{\"type\":\"retry\",\"fault\":3,\"attempt\":1}\n",
+                "{\"type\":\"retry\",\"fault\":3,\"round\":0,\"sessions\":4}\n",
             )
             .to_owned(),
         }
@@ -865,6 +865,8 @@ mod tests {
 
     #[test]
     fn renders_self_contained_dashboard() {
+        // The fixture is a stream the emitters could have written.
+        crate::schema::check_stream(&sample_input().text).expect("fixture matches the schema");
         let html = render(&[sample_input()], "test report").expect("render");
         // Structure.
         assert!(html.starts_with("<!doctype html>"));

@@ -766,6 +766,7 @@ mod tests {
             since_ns: 7,
         }]);
         let value = crate::json::parse(&doc).expect("valid json");
+        crate::schema::ALERTS.check(&value).unwrap();
         let alerts = value
             .get("alerts")
             .and_then(crate::json::Value::as_array)

@@ -31,7 +31,7 @@
 //!
 //! Firing and resolving transitions are appended to the session
 //! history: the exporters emit them as `{"type":"alert"}` NDJSON
-//! records (validated by `obs-check`), the `/metrics` endpoint exposes
+//! records (shape in [`crate::schema`]), the `/metrics` endpoint exposes
 //! the live state as `scanbist_alert_active{rule="…"}` gauges plus a
 //! `/alerts.json` route, `scanbist report` renders an alert panel, and
 //! the flight recorder ([`crate::recorder`]) keeps the most recent
@@ -753,7 +753,7 @@ short_ms = 250
 
     #[test]
     fn transition_ndjson_is_well_formed() {
-        let t = AlertTransition {
+        let mut t = AlertTransition {
             rule: "p99".into(),
             series: "diagnose#p99".into(),
             firing: true,
@@ -761,14 +761,17 @@ short_ms = 250
             threshold: 100.5,
             at_ns: 42,
         };
-        let line = t.ndjson_line();
-        let value = crate::json::parse(&line).unwrap();
-        assert_eq!(value.get("type").and_then(crate::json::Value::as_str), Some("alert"));
-        assert_eq!(value.get("rule").and_then(crate::json::Value::as_str), Some("p99"));
-        assert_eq!(value.get("state").and_then(crate::json::Value::as_str), Some("firing"));
-        assert_eq!(value.get("value").and_then(crate::json::Value::as_f64), Some(123.0));
-        assert_eq!(value.get("threshold").and_then(crate::json::Value::as_f64), Some(100.5));
-        assert_eq!(line, line.trim(), "single line");
+        for (firing, state) in [(true, "firing"), (false, "resolved")] {
+            t.firing = firing;
+            let line = t.ndjson_line();
+            assert_eq!(line, line.trim(), "single line");
+            let records = crate::schema::check_stream(&line).unwrap();
+            assert_eq!(records.len(), 1, "single line");
+            assert_eq!(
+                records[0].get("state").and_then(crate::json::Value::as_str),
+                Some(state)
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! [`LOCK`] and starts from [`scan_obs::init`] / ends with
 //! [`scan_obs::reset`] to stay isolated from its neighbours.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use scan_obs::json::{parse, Value};
-use scan_obs::{export, metrics, progress, span, ObsConfig};
+use scan_obs::{export, metrics, progress, schema, span, ObsConfig, TraceContext};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -245,48 +246,49 @@ fn ndjson_round_trips_through_the_json_reader() {
             metrics::record_pow2("diagnosis.candidates_per_fault", 9);
         }
         let snapshot = scan_obs::snapshot();
-        let stream = export::ndjson(&snapshot);
-        let mut spans = Vec::new();
-        let mut counters = Vec::new();
-        let mut hists = Vec::new();
-        for line in stream.lines() {
-            let value = parse(line).expect("every NDJSON line parses");
-            match value.get("type").and_then(Value::as_str).expect("typed") {
-                "meta" => {
-                    assert_eq!(value.get("version").and_then(Value::as_f64), Some(1.0));
-                }
-                "span" => {
-                    let path = value.get("path").and_then(Value::as_str).unwrap();
-                    let start = value.get("start_ns").and_then(Value::as_f64).unwrap();
-                    let end = value.get("end_ns").and_then(Value::as_f64).unwrap();
-                    assert!(start <= end);
-                    spans.push(path.to_owned());
-                }
-                "counter" => {
-                    counters.push((
-                        value.get("name").and_then(Value::as_str).unwrap().to_owned(),
-                        value.get("value").and_then(Value::as_f64).unwrap(),
-                    ));
-                }
-                "hist" => {
-                    let hist = value.get("hist").expect("hist payload");
-                    let edges = hist.get("edges").and_then(Value::as_array).unwrap();
-                    let counts = hist.get("counts").and_then(Value::as_array).unwrap();
-                    assert_eq!(counts.len(), edges.len() + 1);
-                    hists.push(());
-                }
-                other => panic!("unexpected type {other}"),
-            }
-        }
-        assert_eq!(spans, vec!["prepare".to_owned(), "prepare/fault_sim".to_owned()]);
-        assert!(counters.contains(&("fault_sim.error_maps".to_owned(), 42.0)));
+        // The session stream's full record set: trace events, a time
+        // series, and a trace context, every line stamped.
+        let ctx = TraceContext::new_root("properties");
+        let series = BTreeMap::from([("work.items".to_owned(), vec![(0, 0), (100, 5)])]);
+        let stream = export::stamp_ndjson(
+            &format!(
+                "{}{}{}\n",
+                export::ndjson(&snapshot),
+                export::ts_lines(&series),
+                export::context_line(&ctx)
+            ),
+            &ctx.trace_id,
+        );
+        let records = schema::check_stream(&stream).expect("stream matches the schema");
+        let of = |kind: &'static str| {
+            records
+                .iter()
+                .filter(move |r| r.get("type").and_then(Value::as_str) == Some(kind))
+        };
+        let spans: Vec<&str> = of("span")
+            .filter_map(|r| r.get("path").and_then(Value::as_str))
+            .collect();
+        assert_eq!(spans, ["prepare", "prepare/fault_sim"]);
+        assert!(of("counter").any(|r| {
+            r.get("name").and_then(Value::as_str) == Some("fault_sim.error_maps")
+                && r.get("value").and_then(Value::as_f64) == Some(42.0)
+        }));
+        let hists: Vec<&Value> = of("hist").filter_map(|r| r.get("hist")).collect();
         assert_eq!(hists.len(), 1);
+        let len = |member| {
+            hists[0]
+                .get(member)
+                .and_then(Value::as_array)
+                .map(<[Value]>::len)
+        };
+        assert_eq!(len("counts"), len("edges").map(|n| n + 1));
+        for kind in ["meta", "ts", "context"] {
+            assert_eq!(of(kind).count(), 1, "{kind}");
+        }
 
-        // And the metrics snapshot document parses with the documented shape.
+        // And the metrics snapshot document has the documented shape.
         let doc = parse(&export::metrics_json(&snapshot)).expect("snapshot parses");
-        assert!(doc.get("counters").and_then(Value::as_object).is_some());
-        assert!(doc.get("histograms").and_then(Value::as_object).is_some());
-        assert!(doc.get("spans").and_then(Value::as_object).is_some());
+        schema::METRICS.check(&doc).unwrap();
         assert_eq!(
             doc.get("spans")
                 .and_then(|s| s.get("prepare/fault_sim"))
