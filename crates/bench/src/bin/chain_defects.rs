@@ -8,7 +8,7 @@
 //! system fault — motivating the standard practice of flushing the
 //! chain before logic diagnosis.
 
-use scan_bench::{render_table, ObsSession};
+use scan_bench::render_table;
 use scan_bist::Scheme;
 use scan_diagnosis::{diagnose, lfsr_patterns, BistConfig, ChainLayout, DiagnosisPlan};
 use scan_netlist::{generate, ScanView};
@@ -16,7 +16,7 @@ use scan_sim::chain_fault::flush_observation;
 use scan_sim::{locate_chain_fault, simulate_chain_fault, ChainFault, FaultSimulator};
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("chain_defects");
+    let (obs, _rest) = scan_obs::Session::from_args("chain_defects");
     let circuit = generate::benchmark("s953");
     let view = ScanView::natural(&circuit, true);
     let patterns = lfsr_patterns(&circuit, 128, 0xACE1);
@@ -87,5 +87,5 @@ fn main() {
     println!(
         "a chain defect floods the response — flush the chain first, then run logic diagnosis"
     );
-    obs.finish();
+    obs.finish(0);
 }

@@ -8,7 +8,7 @@
 //! streams of real faults through all three compactors and counts
 //! sessions whose failure goes unnoticed.
 
-use scan_bench::{render_table, ObsSession};
+use scan_bench::render_table;
 use scan_bist::compactor::{OnesCounter, ResponseCompactor, TransitionCounter};
 use scan_bist::{Misr, Scheme};
 use scan_diagnosis::{lfsr_patterns, BistConfig, ChainLayout, DiagnosisPlan};
@@ -16,7 +16,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::FaultSimulator;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("compactors");
+    let (obs, _rest) = scan_obs::Session::from_args("compactors");
     let circuit = generate::benchmark("s953");
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;
@@ -106,5 +106,5 @@ fn main() {
         "{}",
         render_table(&["compactor", "aliased sessions", "aliasing rate"], &rows)
     );
-    obs.finish();
+    obs.finish(0);
 }

@@ -2,13 +2,13 @@
 //! converted through the scan geometry, plus the §5 comparison of the
 //! TestRail against a per-core test bus with pattern reloads.
 
-use scan_bench::{render_table, table3_spec, ObsSession, PAPER_SCHEMES};
+use scan_bench::{render_table, table3_spec, PAPER_SCHEMES};
 use scan_diagnosis::cost::{soc_access_cost, DiagnosisCostModel};
 use scan_diagnosis::soc_diag::diagnose_each_core;
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("diagnosis_time");
+    let (obs, _rest) = scan_obs::Session::from_args("diagnosis_time");
     let mut spec = table3_spec();
     spec.partitions = 16;
     let soc = d695::soc1().expect("SOC 1 builds");
@@ -73,5 +73,5 @@ fn main() {
         access.testrail_cycles as f64 / 1e6,
         access.test_bus_cycles as f64 / 1e6
     );
-    obs.finish();
+    obs.finish(0);
 }

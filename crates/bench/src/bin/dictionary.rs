@@ -6,7 +6,7 @@
 //! and expected suspect-list size, per scheme and partition count, for
 //! both exact-signature and pass/fail matching.
 
-use scan_bench::{render_table, ObsSession};
+use scan_bench::render_table;
 use scan_bist::Scheme;
 use scan_diagnosis::dictionary::FaultDictionary;
 use scan_diagnosis::{lfsr_patterns, BistConfig, ChainLayout, DiagnosisPlan};
@@ -14,7 +14,7 @@ use scan_netlist::{generate, ScanView};
 use scan_sim::FaultSimulator;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("dictionary");
+    let (obs, _rest) = scan_obs::Session::from_args("dictionary");
     let circuit = generate::benchmark("s953");
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;
@@ -62,5 +62,5 @@ fn main() {
     );
     println!();
     println!("suspects = expected suspect-fault list size for a uniformly drawn dictionary fault");
-    obs.finish();
+    obs.finish(0);
 }

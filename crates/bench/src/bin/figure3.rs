@@ -6,14 +6,13 @@
 //! The binary reproduces the figure's artifacts: the true failing-cell
 //! bitmap, each scheme's groups, and the resulting suspect counts.
 
-use scan_bench::ObsSession;
 use scan_bist::Scheme;
 use scan_diagnosis::{diagnose, BistConfig, ChainLayout, DiagnosisPlan};
 use scan_netlist::{generate, ScanView};
 use scan_sim::{ErrorMap, FaultSimulator};
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("figure3");
+    let (obs, _rest) = scan_obs::Session::from_args("figure3");
     let circuit = generate::benchmark("s953");
     let view = ScanView::natural(&circuit, true);
     let patterns = scan_diagnosis::lfsr_patterns(&circuit, 200, 0xACE1);
@@ -97,7 +96,7 @@ fn main() {
         println!("  suspect failing scan cells: {}", diag.num_candidates());
         println!();
     }
-    obs.finish();
+    obs.finish(0);
 }
 
 fn patterns_detecting(errors: &ErrorMap) -> usize {

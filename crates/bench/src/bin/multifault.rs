@@ -6,13 +6,13 @@
 //! which interval partitioning covers with few groups. This experiment
 //! injects fault multiplets of growing size and compares schemes.
 
-use scan_bench::{fmt_dr, render_table, ObsSession};
+use scan_bench::{fmt_dr, render_table};
 use scan_bist::Scheme;
 use scan_diagnosis::{CampaignSpec, PreparedCampaign};
 use scan_netlist::generate;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("multifault");
+    let (obs, _rest) = scan_obs::Session::from_args("multifault");
     let circuit = generate::benchmark("s5378");
     let mut spec = CampaignSpec::new(128, 8, 8);
     spec.num_faults = 250;
@@ -54,5 +54,5 @@ fn main() {
             &rows
         )
     );
-    obs.finish();
+    obs.finish(0);
 }

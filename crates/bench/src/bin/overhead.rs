@@ -3,14 +3,14 @@
 //! classical random-selection hardware, quantified per experiment
 //! configuration.
 
-use scan_bench::{render_table, ObsSession};
+use scan_bench::render_table;
 use scan_bist::overhead::{
     random_selection_cost, two_step_cost, two_step_overhead, SelectionHardwareSpec,
 };
 use scan_bist::seed::length_bits;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("overhead");
+    let (obs, _rest) = scan_obs::Session::from_args("overhead");
     println!("Selection hardware cost (Fig. 1 block diagram, gate-equivalent estimates)");
     println!();
     let configs = [
@@ -55,5 +55,5 @@ fn main() {
     );
     println!();
     println!("delta = Shift Counter 2 + Test Counter 2 + zero-detect logic (the paper's \"two additional registers\")");
-    obs.finish();
+    obs.finish(0);
 }

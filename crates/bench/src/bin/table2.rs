@@ -3,13 +3,13 @@
 //! without post-processing pruning. 128 pseudorandom patterns per BIST
 //! session, degree-16 partition LFSR, 500 faults per circuit.
 
-use scan_bench::{fmt_dr, render_table, table2_spec, ObsSession};
+use scan_bench::{fmt_dr, render_table, table2_spec};
 use scan_bist::Scheme;
 use scan_diagnosis::PreparedCampaign;
 use scan_netlist::generate::{self, SIX_LARGEST};
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("table2");
+    let (obs, _rest) = scan_obs::Session::from_args("table2");
     let spec = table2_spec();
     println!(
         "Table 2 — six largest ISCAS-89, {} patterns, {} groups, {} partitions, {} faults",
@@ -51,5 +51,5 @@ fn main() {
             &rows
         )
     );
-    obs.finish();
+    obs.finish(0);
 }

@@ -4,12 +4,12 @@
 //! injected and diagnosed with 32 groups per partition and 8
 //! partitions.
 
-use scan_bench::{fmt_dr, render_table, table3_spec, ObsSession, PAPER_SCHEMES};
+use scan_bench::{fmt_dr, render_table, table3_spec, PAPER_SCHEMES};
 use scan_diagnosis::soc_diag::diagnose_each_core_parallel;
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("table3");
+    let (obs, _rest) = scan_obs::Session::from_args("table3");
     let spec = table3_spec();
     let soc = d695::soc1().expect("SOC 1 builds");
     println!(
@@ -49,5 +49,5 @@ fn main() {
             &rows
         )
     );
-    obs.finish();
+    obs.finish(0);
 }

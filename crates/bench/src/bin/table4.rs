@@ -5,13 +5,13 @@
 //! The paper's table reports the six largest cores; the harness prints
 //! every core and marks the reported six.
 
-use scan_bench::{fmt_dr, render_table, table4_spec, ObsSession, PAPER_SCHEMES};
+use scan_bench::{fmt_dr, render_table, table4_spec, PAPER_SCHEMES};
 use scan_diagnosis::soc_diag::diagnose_each_core_parallel;
 use scan_netlist::generate::SIX_LARGEST;
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("table4");
+    let (obs, _rest) = scan_obs::Session::from_args("table4");
     let spec = table4_spec();
     let soc = d695::soc2().expect("SOC 2 builds");
     println!(
@@ -58,5 +58,5 @@ fn main() {
         )
     );
     println!("(* = one of the six largest cores reported in the paper's table)");
-    obs.finish();
+    obs.finish(0);
 }

@@ -8,13 +8,13 @@
 //! random-resistant faults.
 
 use scan_atpg::{run_atpg, Podem, PodemLimits, PodemResult};
-use scan_bench::{render_table, ObsSession};
+use scan_bench::render_table;
 use scan_diagnosis::lfsr_patterns;
 use scan_netlist::{generate, ScanView};
 use scan_sim::{FaultSimulator, FaultUniverse};
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("topoff");
+    let (obs, _rest) = scan_obs::Session::from_args("topoff");
     println!("Pseudorandom vs deterministic pattern sources (collapsed stuck-at faults)");
     println!();
     let mut rows = Vec::new();
@@ -82,5 +82,5 @@ fn main() {
     );
     println!();
     println!("top-off cubes = deterministic tests for faults the 128 pseudorandom patterns miss");
-    obs.finish();
+    obs.finish(0);
 }

@@ -6,14 +6,14 @@
 //! the two faulty cores' chain segments, and (b) whether density-based
 //! localization still ranks both faulty cores on top (top-2 accuracy).
 
-use scan_bench::{fmt_dr, render_table, ObsSession};
+use scan_bench::{fmt_dr, render_table};
 use scan_bist::Scheme;
 use scan_diagnosis::{diagnose, BistConfig, ChainLayout, DiagnosisPlan, DrAccumulator};
 use scan_sim::FaultSimulator;
 use scan_soc::d695;
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("two_faulty_cores");
+    let (obs, _rest) = scan_obs::Session::from_args("two_faulty_cores");
     let soc = d695::soc1().expect("SOC 1 builds");
     let num_patterns = 128usize;
     let groups = 32u16;
@@ -113,5 +113,5 @@ fn main() {
             &rows
         )
     );
-    obs.finish();
+    obs.finish(0);
 }

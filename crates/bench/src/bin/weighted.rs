@@ -7,14 +7,14 @@
 //! of that coverage for free. This experiment compares uniform vs
 //! weighted stuck-at coverage at equal pattern counts.
 
-use scan_bench::{render_table, ObsSession};
+use scan_bench::render_table;
 use scan_diagnosis::lfsr_patterns;
 use scan_netlist::scoap::suggested_input_weights;
 use scan_netlist::{generate, ScanView};
 use scan_sim::{FaultSimulator, FaultUniverse, PatternSet};
 
 fn main() {
-    let (obs, _rest) = ObsSession::start("weighted");
+    let (obs, _rest) = scan_obs::Session::from_args("weighted");
     println!(
         "Uniform vs weighted pseudo-random coverage (collapsed stuck-at faults, 128 patterns)"
     );
@@ -52,5 +52,5 @@ fn main() {
             &rows
         )
     );
-    obs.finish();
+    obs.finish(0);
 }

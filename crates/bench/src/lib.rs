@@ -13,10 +13,6 @@
 use scan_bist::Scheme;
 use scan_diagnosis::CampaignSpec;
 
-pub mod obs;
-
-pub use obs::ObsSession;
-
 /// The schemes compared throughout the paper, in reporting order.
 pub const PAPER_SCHEMES: [Scheme; 2] = [Scheme::RandomSelection, Scheme::TWO_STEP_DEFAULT];
 

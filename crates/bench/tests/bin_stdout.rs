@@ -1,6 +1,6 @@
 //! Stdout-cleanliness harness for every experiment binary.
 //!
-//! The contract (see `crates/bench/src/obs.rs`): stdout carries the
+//! The contract (see `scan_obs::session`): stdout carries the
 //! machine-readable table/figure payload and *nothing else*;
 //! diagnostics, progress, and usage text go to stderr. Running a
 //! binary with `--help` must exit 0 before any campaign work, print
@@ -99,6 +99,24 @@ fn help_exits_zero_with_clean_stdout() {
             "{name} --help does not document the shared observability flags"
         );
     }
+}
+
+#[test]
+fn flag_missing_its_value_exits_2_before_any_work() {
+    let output = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .arg("--metrics-out")
+        .output()
+        .expect("spawn table1");
+    assert_eq!(output.status.code(), Some(2), "table1 --metrics-out");
+    assert!(
+        output.stdout.is_empty(),
+        "a rejected invocation wrote to stdout (payload channel)"
+    );
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    assert!(
+        stderr.contains("`--metrics-out`"),
+        "stderr does not name the flag: {stderr:?}"
+    );
 }
 
 /// `scan-lint` lives in another package, so cargo sets no

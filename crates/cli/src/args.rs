@@ -204,9 +204,8 @@ pub struct Invocation {
     /// Emit one JSON object instead of human-readable text (supported
     /// by `coverage`, `atpg`, `diagnose`, `noise`, and `soc`).
     pub json: bool,
-    /// Observability settings from the global `--trace` /
-    /// `--trace-out` / `--metrics-out` / `--profile` /
-    /// `--profile-out` / `--progress` flags.
+    /// Observability settings from the global observability flags
+    /// (see [`scan_obs::session::USAGE`]).
     pub obs: scan_obs::ObsConfig,
     /// Where diagnosis audit traces (NDJSON, one event per fault) are
     /// written; from the global `--audit-out <path>` flag. Honoured by
@@ -216,11 +215,9 @@ pub struct Invocation {
     pub command: Command,
 }
 
-/// Parses the full argument list including global flags (`--json`,
-/// `--trace`, `--trace-out <path>`, `--metrics-out <path>`,
-/// `--profile`, `--profile-out <path>`, `--audit-out <path>`,
-/// `--progress`, and `--serve-metrics <addr>`, all of which appear
-/// before the subcommand).
+/// Parses the full argument list: the global flags (`--json`,
+/// `--audit-out <path>`, and the observability flags), all of which
+/// appear before the subcommand, then the subcommand itself.
 ///
 /// # Errors
 ///
@@ -229,75 +226,26 @@ pub fn parse_invocation<'a, I>(args: I) -> Result<Invocation, ParseArgsError>
 where
     I: IntoIterator<Item = &'a str>,
 {
-    let mut rest: Vec<&str> = args.into_iter().collect();
+    let mut words = args.into_iter();
     let mut json = false;
     let mut obs = scan_obs::ObsConfig::disabled();
     let mut audit_path = None;
-    loop {
-        match rest.first().copied() {
-            Some("--json") => {
-                json = true;
-                rest.remove(0);
+    let mut first = None;
+    while let Some(word) = words.next() {
+        match word {
+            "--json" => json = true,
+            "--audit-out" => audit_path = Some(take_value(word, &mut words)?.into()),
+            _ => {
+                if !scan_obs::session::parse_flag(&mut obs, "scanbist", word, &mut words)
+                    .map_err(ParseArgsError)?
+                {
+                    first = Some(word);
+                    break;
+                }
             }
-            Some("--trace") => {
-                obs.trace = true;
-                obs.summary = true;
-                rest.remove(0);
-            }
-            Some("--trace-out") => {
-                rest.remove(0);
-                let path = take_front("--trace-out", &mut rest)?;
-                obs.trace = true;
-                obs.summary = true;
-                obs.trace_path = Some(path.into());
-            }
-            Some("--metrics-out") => {
-                rest.remove(0);
-                let path = take_front("--metrics-out", &mut rest)?;
-                obs.metrics = true;
-                obs.metrics_path = Some(path.into());
-            }
-            Some("--profile") => {
-                obs.profile = true;
-                rest.remove(0);
-            }
-            Some("--profile-out") => {
-                rest.remove(0);
-                let path = take_front("--profile-out", &mut rest)?;
-                obs.profile = true;
-                obs.profile_path = Some(path.into());
-            }
-            Some("--audit-out") => {
-                rest.remove(0);
-                let path = take_front("--audit-out", &mut rest)?;
-                audit_path = Some(path.into());
-            }
-            Some("--progress") => {
-                obs.progress = true;
-                rest.remove(0);
-            }
-            Some("--serve-metrics") => {
-                rest.remove(0);
-                let addr = take_front("--serve-metrics", &mut rest)?;
-                obs.serve_addr = Some(addr);
-            }
-            Some("--slo") => {
-                rest.remove(0);
-                let path = take_front("--slo", &mut rest)?;
-                obs.slo_path = Some(path.into());
-            }
-            Some("--flight-recorder") => {
-                rest.remove(0);
-                let path = take_front("--flight-recorder", &mut rest)?;
-                obs.flight_path = Some(path.into());
-            }
-            _ => break,
         }
     }
-    if obs.trace && obs.trace_path.is_none() {
-        obs.trace_path = Some("trace_scanbist.ndjson".into());
-    }
-    let command = parse_args(rest)?;
+    let command = parse_args(first.into_iter().chain(words))?;
     if matches!(command, Command::Serve { .. }) {
         // The daemon serves /metrics and dashboard sparklines from its
         // own listener, which is only useful if counters and the
@@ -311,13 +259,6 @@ where
         audit_path,
         command,
     })
-}
-
-fn take_front(flag: &str, rest: &mut Vec<&str>) -> Result<String, ParseArgsError> {
-    if rest.is_empty() {
-        return Err(ParseArgsError(format!("flag `{flag}` needs a value")));
-    }
-    Ok(rest.remove(0).to_owned())
 }
 
 /// Parses the argument list (without the program name).
@@ -659,8 +600,14 @@ fn parse_num<T: std::str::FromStr>(text: &str) -> Result<T, ParseArgsError> {
         .map_err(|_| ParseArgsError(format!("`{text}` is not a valid number")))
 }
 
-/// The help text printed by `scanbist help`.
-pub const HELP: &str = "\
+/// The help text printed by `scanbist help`: the global flags, with
+/// the observability flags shared by every binary, then the commands.
+#[must_use]
+pub fn help() -> String {
+    format!("{HELP_HEAD}{}\n{HELP_COMMANDS}", scan_obs::session::USAGE)
+}
+
+const HELP_HEAD: &str = "\
 scanbist — partition-based scan-BIST failing-cell diagnosis
 
 USAGE:
@@ -668,30 +615,11 @@ USAGE:
 
 GLOBAL FLAGS (before the command):
   --json                emit one JSON object instead of text
-  --trace               record spans/metrics; write trace_scanbist.ndjson
-                        and print a span-tree summary to stderr
-  --trace-out <path>    like --trace, NDJSON stream to <path>
-  --metrics-out <path>  write a JSON metrics snapshot to <path>
-  --profile             print a span self-time hot-spot table to stderr
-  --profile-out <path>  like --profile, plus a collapsed-stack
-                        (flamegraph folded format) export to <path>
   --audit-out <path>    write a per-fault diagnosis audit trace
                         (NDJSON) during `diagnose`/`noise` campaigns
-  --progress            periodic per-shard progress lines on stderr
-  --serve-metrics <addr>  serve live /metrics (Prometheus text),
-                        /metrics.json, /alerts.json, and /healthz
-                        over HTTP on <addr> (e.g. 127.0.0.1:0) for
-                        the run's duration; implies background
-                        sampling
-  --slo <slo.toml>      load declarative alert rules and evaluate
-                        them on every sampler tick; firing/resolving
-                        alerts land in the NDJSON stream, /metrics,
-                        /alerts.json, and `scanbist report`
-  --flight-recorder <path>  keep a bounded in-memory ring of recent
-                        spans/counter deltas/alerts and dump it as a
-                        versioned NDJSON black box (plus a .txt
-                        summary) on panic or nonzero exit
+";
 
+const HELP_COMMANDS: &str = "\
 COMMANDS:
   scanbist parse <file.bench>
   scanbist stats <circuit>
@@ -866,65 +794,34 @@ mod tests {
     }
 
     #[test]
-    fn parses_observability_global_flags() {
+    fn global_flags_go_before_the_command() {
         let inv = parse_invocation([
             "--json",
             "--trace",
-            "--metrics-out",
-            "m.json",
-            "--progress",
-            "stats",
-            "s27",
-        ])
-        .unwrap();
-        assert!(inv.json);
-        assert!(inv.obs.trace && inv.obs.metrics && inv.obs.progress && inv.obs.summary);
-        assert_eq!(
-            inv.obs.trace_path.as_deref(),
-            Some("trace_scanbist.ndjson".as_ref())
-        );
-        assert_eq!(inv.obs.metrics_path.as_deref(), Some("m.json".as_ref()));
-        assert_eq!(
-            inv.command,
-            Command::Stats {
-                circuit: "s27".into()
-            }
-        );
-
-        let inv = parse_invocation(["--trace-out", "t.ndjson", "help"]).unwrap();
-        assert_eq!(inv.obs.trace_path.as_deref(), Some("t.ndjson".as_ref()));
-        assert!(!inv.obs.progress && !inv.json);
-
-        let plain = parse_invocation(["stats", "s27"]).unwrap();
-        assert!(!plain.obs.is_enabled());
-
-        assert!(parse_invocation(["--metrics-out"]).is_err());
-    }
-
-    #[test]
-    fn parses_profile_and_audit_flags() {
-        let inv = parse_invocation(["--profile", "stats", "s27"]).unwrap();
-        assert!(inv.obs.profile && inv.obs.profile_path.is_none());
-        assert!(inv.obs.profiling() && inv.audit_path.is_none());
-
-        let inv = parse_invocation([
-            "--profile-out",
-            "out/p.folded",
             "--audit-out",
             "out/a.ndjson",
+            "--progress",
             "diagnose",
             "s27",
         ])
         .unwrap();
-        assert!(inv.obs.profile);
+        assert!(inv.json && inv.obs.trace && inv.obs.progress);
         assert_eq!(
-            inv.obs.profile_path.as_deref(),
-            Some("out/p.folded".as_ref())
+            inv.obs.trace_path.as_deref(),
+            Some("trace_scanbist.ndjson".as_ref())
         );
         assert_eq!(inv.audit_path.as_deref(), Some("out/a.ndjson".as_ref()));
+        assert!(matches!(inv.command, Command::Diagnose { .. }));
 
-        assert!(parse_invocation(["--profile-out"]).is_err());
+        // After the command they are the subcommand's words, not globals.
+        assert!(parse_invocation(["stats", "s27", "--trace"]).is_err());
+        assert!(parse_invocation(["diagnose", "s27", "--json"]).is_err());
+        // A global flag missing its value is an error, obs flag or not.
         assert!(parse_invocation(["--audit-out"]).is_err());
+        assert!(parse_invocation(["--metrics-out"]).is_err());
+
+        let plain = parse_invocation(["stats", "s27"]).unwrap();
+        assert!(!plain.obs.is_enabled() && !plain.json && plain.audit_path.is_none());
     }
 
     #[test]
@@ -1007,41 +904,6 @@ mod tests {
         );
         assert!(parse_args(["explain"]).is_err());
         assert!(parse_args(["explain", "a", "b"]).is_err());
-    }
-
-    #[test]
-    fn parses_serve_metrics_flag() {
-        let inv = parse_invocation(["--serve-metrics", "127.0.0.1:0", "stats", "s27"]).unwrap();
-        assert_eq!(inv.obs.serve_addr.as_deref(), Some("127.0.0.1:0"));
-        assert!(inv.obs.sampling() && inv.obs.is_enabled());
-
-        let plain = parse_invocation(["stats", "s27"]).unwrap();
-        assert!(plain.obs.serve_addr.is_none() && !plain.obs.sampling());
-
-        assert!(parse_invocation(["--serve-metrics"]).is_err());
-    }
-
-    #[test]
-    fn parses_slo_and_flight_recorder_flags() {
-        let inv = parse_invocation([
-            "--slo",
-            "slo.toml",
-            "--flight-recorder",
-            "flight.ndjson",
-            "stats",
-            "s27",
-        ])
-        .unwrap();
-        assert_eq!(inv.obs.slo_path.as_deref(), Some("slo.toml".as_ref()));
-        assert_eq!(
-            inv.obs.flight_path.as_deref(),
-            Some("flight.ndjson".as_ref())
-        );
-        // Both imply sampling so the evaluator/ring get ticks.
-        assert!(inv.obs.sampling() && inv.obs.is_enabled());
-
-        assert!(parse_invocation(["--slo"]).is_err());
-        assert!(parse_invocation(["--flight-recorder"]).is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use scan_netlist::{generate, GateKind, Netlist, ScanView};
 use scan_sim::{FaultSimulator, FaultUniverse, PpsfpSimulator};
 use scan_soc::SocDescriptor;
 
-use crate::args::{Command, Invocation, HELP};
+use crate::args::{help, Command, Invocation};
 use crate::json::JsonObject;
 
 /// Executes a parsed command, writing human-readable output to `out`.
@@ -68,7 +68,7 @@ fn execute<W: Write>(
 ) -> Result<(), String> {
     match command {
         Command::Help => {
-            write!(out, "{HELP}").map_err(io_err)?;
+            write!(out, "{}", help()).map_err(io_err)?;
             Ok(())
         }
         Command::Parse { path } => {

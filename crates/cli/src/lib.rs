@@ -12,5 +12,5 @@ pub mod args;
 mod commands;
 pub mod json;
 
-pub use args::{parse_args, parse_invocation, Command, Invocation, ParseArgsError, HELP};
+pub use args::{help, parse_args, parse_invocation, Command, Invocation, ParseArgsError};
 pub use commands::{run, run_invocation};

@@ -26,28 +26,9 @@
 use scan_diagnosis::{
     CampaignError, DiagnoseError, DiagnosisStatus, NoiseConfig, RobustPolicy, SessionOutcome,
 };
+use scan_obs::export::escape;
 
 use crate::http::HttpError;
-
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// The stable wire shape of a failure: a machine-matchable `code`, the
 /// HTTP status the same condition maps to when it is request-level,
@@ -147,14 +128,14 @@ impl ErrorBody {
     #[must_use]
     pub fn render(&self, id: Option<&str>) -> String {
         let id = match id {
-            Some(id) => format!("\"{}\"", json_escape(id)),
+            Some(id) => escape(id),
             None => "null".to_owned(),
         };
         format!(
-            "{{\"id\":{id},\"status\":\"error\",\"error\":{{\"code\":\"{}\",\"http\":{},\"message\":\"{}\"}}}}",
+            "{{\"id\":{id},\"status\":\"error\",\"error\":{{\"code\":\"{}\",\"http\":{},\"message\":{}}}}}",
             self.code,
             self.http,
-            json_escape(&self.message)
+            escape(&self.message)
         )
     }
 }
@@ -560,8 +541,8 @@ impl OkLine<'_> {
     #[must_use]
     pub fn render(&self) -> String {
         let mut line = format!(
-            "{{\"id\":\"{}\",\"status\":\"ok\",\"mode\":\"{}\",\"confidence\":\"{}\"",
-            json_escape(self.id),
+            "{{\"id\":{},\"status\":\"ok\",\"mode\":\"{}\",\"confidence\":\"{}\"",
+            escape(self.id),
             self.mode,
             self.confidence
         );
@@ -576,10 +557,10 @@ impl OkLine<'_> {
             line.push_str(&format!("[{cell},{score:.6}]"));
         }
         line.push_str(&format!(
-            "],\"cells\":{},\"elapsed_us\":{},\"trace\":\"{}\"}}",
+            "],\"cells\":{},\"elapsed_us\":{},\"trace\":{}}}",
             self.cells,
             self.elapsed_us,
-            json_escape(self.trace)
+            escape(self.trace)
         ));
         line
     }

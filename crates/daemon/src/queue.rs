@@ -105,6 +105,36 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// Removes every queued item `selected` picks, keeping the rest in
+    /// order, and returns how many were removed. A batch shed at
+    /// admission withdraws the jobs it already queued this way, so they
+    /// stop holding slots that the next request needs.
+    pub fn withdraw(&self, mut selected: impl FnMut(&T) -> bool) -> usize {
+        let Ok(mut ring) = self.ring.lock() else {
+            return 0;
+        };
+        let ring = &mut *ring;
+        let (head, len) = (ring.head, ring.len);
+        // Rotate the live items to the front, then compact them there.
+        ring.slots.rotate_left(head);
+        ring.head = 0;
+        let mut kept = 0;
+        for from in 0..len {
+            let Some(item) = ring.slots.get_mut(from).and_then(Option::take) else {
+                continue;
+            };
+            if selected(&item) {
+                continue;
+            }
+            if let Some(slot) = ring.slots.get_mut(kept) {
+                *slot = Some(item);
+            }
+            kept += 1;
+        }
+        ring.len = kept;
+        len - kept
+    }
+
     /// Closes the queue: pushes start failing, pops drain what is left
     /// and then return `None`. Idempotent.
     pub fn close(&self) {
@@ -165,6 +195,28 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    #[test]
+    fn withdraw_frees_slots_and_keeps_the_rest_in_order() {
+        let q = BoundedQueue::new(4);
+        // Wrap the ring first so the live items straddle the end.
+        q.try_push(0).unwrap();
+        q.try_push(0).unwrap();
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.pop(), Some(0));
+        for item in [1, 20, 3, 40] {
+            q.try_push(item).unwrap();
+        }
+        assert_eq!(q.try_push(5), Err(5), "full before the withdrawal");
+        assert_eq!(q.withdraw(|&item| item >= 10), 2);
+        assert_eq!(q.depth(), 2);
+        assert_eq!(q.try_push(5), Ok(3), "withdrawn slots admit new work");
+        assert_eq!(q.withdraw(|_| false), 0);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.pop(), Some(5));
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * **Backpressure** — admission goes through a [`BoundedQueue`];
 //!   when it is full the batch is refused with `429` and
-//!   `Retry-After`, never buffered.
+//!   `Retry-After`, never buffered, and the jobs it had already queued
+//!   are withdrawn.
 //! * **Deadlines** — each batch carries a deadline (the minimum of its
 //!   lines' `deadline_ms` and the configured default). The connection
 //!   thread waits no longer; on expiry it cancels the batch's
@@ -545,7 +546,11 @@ fn handle_diagnose(
                 metrics::incr("daemon.shed_429");
                 metrics::record_pow2("daemon.queue_depth", capacity as u64);
                 // Already-admitted jobs of this batch are wasted work:
-                // cancel so workers skip them between partitions.
+                // withdraw the queued ones so their slots are free
+                // before the client sees the 429 and retries, and
+                // cancel so a worker already running one stops between
+                // partitions.
+                inner.queue.withdraw(|job| Arc::ptr_eq(&job.batch, &batch));
                 batch.cancel.cancel();
                 let body = ErrorBody {
                     code: "queue-full",

@@ -13,8 +13,9 @@ use crate::context::{self, TraceContext};
 use crate::registry::{Histogram, Snapshot, SpanStat};
 use crate::timeseries::{self, Sample};
 
-/// Escapes a string for embedding in JSON output.
-pub(crate) fn escape(text: &str) -> String {
+/// Escapes a string for embedding in JSON output, surrounding quotes
+/// included.
+pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
     out.push('"');
     for c in text.chars() {
@@ -301,4 +302,17 @@ pub fn write_file(path: &Path, text: &str) -> std::io::Result<()> {
     }
     let mut file = std::fs::File::create(path).map_err(with_path)?;
     file.write_all(text.as_bytes()).map_err(with_path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::escape;
+
+    #[test]
+    fn escape_quotes_and_handles_specials() {
+        assert_eq!(escape("plain"), "\"plain\"");
+        assert_eq!(escape("a\"b"), "\"a\\\"b\"");
+        assert_eq!(escape("a\\b\nc"), "\"a\\\\b\\nc\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+    }
 }

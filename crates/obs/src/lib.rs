@@ -64,6 +64,7 @@ pub mod registry;
 pub mod report;
 pub mod schema;
 pub mod serve;
+pub mod session;
 pub mod slo;
 pub mod span;
 pub mod timeseries;
@@ -72,6 +73,7 @@ pub use config::ObsConfig;
 pub use context::TraceContext;
 pub use profile::{Profile, ProfileEntry};
 pub use registry::{flush_thread, snapshot, Histogram, Snapshot, SpanEvent, SpanStat};
+pub use session::Session;
 pub use span::SpanGuard;
 
 /// Current enable mask — nonzero if any recording is on. The
@@ -94,7 +96,7 @@ pub fn init(config: &ObsConfig) {
 /// NDJSON event stream to [`ObsConfig::trace_path`], the JSON metrics
 /// snapshot to [`ObsConfig::metrics_path`], the collapsed-stack
 /// profile to [`ObsConfig::profile_path`], the span tree to stderr
-/// when [`ObsConfig::summary`] is set, and the self-time hot-spot
+/// when [`ObsConfig::trace`] is set, and the self-time hot-spot
 /// table to stderr when [`ObsConfig::profile`] is set. Recorded data
 /// is left in place (a later [`snapshot`] still sees it).
 ///
@@ -123,7 +125,7 @@ pub fn finish(config: &ObsConfig) -> std::io::Result<()> {
             eprint!("{}", profile.hotspot_table());
         }
     }
-    if config.summary {
+    if config.trace {
         eprint!("{}", export::tree_summary(&snapshot));
     }
     Ok(())
@@ -209,9 +211,11 @@ pub fn start_telemetry(config: &ObsConfig) -> std::io::Result<Telemetry> {
         recorder::install(path, 0);
     }
     if config.sampling() {
-        let store = std::sync::Arc::new(timeseries::TimeSeriesStore::new(config.ts_capacity));
+        let store = std::sync::Arc::new(timeseries::TimeSeriesStore::new(
+            timeseries::DEFAULT_CAPACITY,
+        ));
         timeseries::set_active(std::sync::Arc::clone(&store));
-        telemetry.sampler = Some(timeseries::Sampler::start(store, config.ts_interval_ms));
+        telemetry.sampler = Some(timeseries::Sampler::start(store));
     }
     if let Some(addr) = &config.serve_addr {
         telemetry.server = Some(serve::MetricsServer::start(addr)?);

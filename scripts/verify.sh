@@ -160,6 +160,11 @@ grep -q '"type":"flight".*"reason":"panic"' "$SMOKE_DIR/crash/flight_table1.ndjs
 grep -q '^reason:  panic$' "$SMOKE_DIR/crash/flight_table1.txt" || {
     echo "flight dump is missing its human-readable summary"; exit 1;
 }
+# The orchestrator itself exits 1 when a child fails: its own ring is
+# dumped as a nonzero-exit black box.
+grep -q '"type":"flight".*"reason":"error"' "$SMOKE_DIR/crash/flight_all_experiments.ndjson" || {
+    echo "orchestrator left no \"reason\":\"error\" flight dump on its nonzero exit"; exit 1;
+}
 ./target/release/obs-check --join \
     "$SMOKE_DIR/crash/trace_all_experiments.ndjson" \
     "$SMOKE_DIR/crash/trace_table2.ndjson" \
