@@ -13,7 +13,7 @@ use scan_bist::compactor::{OnesCounter, ResponseCompactor, TransitionCounter};
 use scan_bist::{Misr, Scheme};
 use scan_diagnosis::{lfsr_patterns, BistConfig, ChainLayout, DiagnosisPlan};
 use scan_netlist::{generate, ScanView};
-use scan_sim::FaultSimulator;
+use scan_sim::PpsfpSimulator;
 
 fn main() {
     let (obs, _rest) = scan_obs::Session::from_args("compactors");
@@ -21,8 +21,8 @@ fn main() {
     let view = ScanView::natural(&circuit, true);
     let num_patterns = 128usize;
     let patterns = lfsr_patterns(&circuit, num_patterns, 0xACE1);
-    let fsim = FaultSimulator::new(&circuit, &view, &patterns).expect("shapes match");
-    let faults = fsim.sample_detected_faults(200, 2003);
+    let mut psim = PpsfpSimulator::new(&circuit, &view, &patterns).expect("shapes match");
+    let cases = psim.sample_detected_with_maps(200, 2003);
     let plan = DiagnosisPlan::new(
         ChainLayout::single_chain(view.len()),
         num_patterns,
@@ -32,16 +32,15 @@ fn main() {
 
     println!(
         "Compactor aliasing — s953, {} faults, {} sessions each (2 partitions × 4 groups)",
-        faults.len(),
+        cases.len(),
         plan.partitions().len() * 4
     );
     println!();
 
     let mut failing_sessions = 0usize;
     let mut missed = [0usize; 3]; // misr, ones, transitions
-    for fault in &faults {
-        let golden = fsim.golden();
-        let faulty = fsim.response(fault);
+    let golden = psim.golden();
+    for (_, errors) in &cases {
         for partition in plan.partitions() {
             for g in 0..partition.num_groups() {
                 // Reference truth: does the masked stream differ at all?
@@ -58,7 +57,7 @@ fn main() {
                             continue;
                         }
                         let gb = golden.bit(pos, t);
-                        let fb = faulty.bit(pos, t);
+                        let fb = gb ^ errors.bit(pos, t);
                         differs |= gb != fb;
                         misr_g.clock(u64::from(gb));
                         misr_f.clock(u64::from(fb));

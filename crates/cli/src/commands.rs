@@ -8,7 +8,7 @@ use scan_diagnosis::{
 };
 use scan_netlist::stats::{ClusteringStats, GateCensus};
 use scan_netlist::{generate, GateKind, Netlist, ScanView};
-use scan_sim::{FaultSimulator, FaultUniverse, PpsfpSimulator};
+use scan_sim::{FaultUniverse, PpsfpSimulator};
 use scan_soc::SocDescriptor;
 
 use crate::args::{help, Command, Invocation};
@@ -579,8 +579,8 @@ fn diagnose_single_fault<W: Write>(
 
     let view = ScanView::natural(netlist, true);
     let pattern_set = lfsr_patterns(netlist, patterns, 0xACE1);
-    let fsim = FaultSimulator::new(netlist, &view, &pattern_set).map_err(|e| e.to_string())?;
-    let errors = fsim.error_map(&fault);
+    let mut psim = PpsfpSimulator::new(netlist, &view, &pattern_set).map_err(|e| e.to_string())?;
+    let errors = psim.error_map(&fault);
     if !errors.is_detected() {
         writeln!(
             out,

@@ -1122,9 +1122,8 @@ pub fn lfsr_patterns(netlist: &Netlist, num_patterns: usize, seed: u64) -> Patte
 /// Samples the campaign's detected faults (or fault multiplets) and
 /// simulates them to error maps in one PPSFP pass.
 ///
-/// The whole-circuit [`FaultSimulator`](scan_sim::FaultSimulator) is
-/// the reference oracle for this path; the `oracle_diff` harness in
-/// `scan-sim` pins the sampled order and every error map against it.
+/// The `oracle_diff` harness in `scan-sim` pins the sampled order and
+/// every error map against the whole-circuit reference oracle.
 fn build_cases(
     netlist: &Netlist,
     view: &ScanView,

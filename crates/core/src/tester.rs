@@ -18,6 +18,11 @@
 //! here), and a debugging aid when hardware behaviour is in question.
 //! It supports a single scan chain (the configuration of the paper's
 //! Tables 1 and 2).
+//!
+//! Its responses come from the whole-circuit `FaultSimulator` oracle,
+//! not the production [`PpsfpSimulator`](scan_sim::PpsfpSimulator):
+//! an executable specification must not share the engine it is checked
+//! against. This is the oracle's one user outside tests.
 
 use scan_bist::selection::{SelectionHardware, SelectionMode};
 use scan_bist::{Lfsr, Misr, Scheme};

@@ -1,11 +1,14 @@
-//! Stuck-at fault simulation over a full-scan view.
+//! The whole-circuit stuck-at fault simulator: the test oracle.
 //!
 //! [`FaultSimulator`] evaluates the fault-free ("golden") response once
 //! and then re-simulates the whole pattern set per fault, 64 patterns
 //! per pass, comparing against the golden response to produce an
-//! [`ErrorMap`]. At ISCAS-89 scale (≤ ~22k gates, 128–200 patterns)
-//! whole-circuit re-simulation is fast enough that event-driven
-//! machinery would not pay for itself.
+//! [`ErrorMap`]. It is deliberately simple — no cones, no events, no
+//! fault dropping — so that it can serve as the reference the
+//! production [`PpsfpSimulator`](crate::PpsfpSimulator) is checked
+//! against (`tests/oracle_diff.rs`). Outside tests only the hardware-
+//! path `VirtualTester` in `scan-diagnosis` uses it, because an
+//! executable specification must not share the engine it specifies.
 
 use scan_rng::ScanRng;
 
@@ -17,7 +20,9 @@ use crate::pattern::PatternSet;
 use crate::response::{ErrorMap, ResponseMap};
 use crate::simulator::Simulator;
 
-/// A fault simulator bound to one circuit, scan view, and pattern set.
+/// The whole-circuit reference fault simulator, bound to one circuit,
+/// scan view, and pattern set. Use [`PpsfpSimulator`](crate::PpsfpSimulator)
+/// for production work; this type is the test oracle.
 ///
 /// # Examples
 ///
@@ -39,7 +44,6 @@ use crate::simulator::Simulator;
 #[derive(Clone, Debug)]
 pub struct FaultSimulator<'a> {
     sim: Simulator<'a>,
-    view: &'a ScanView,
     observed_nets: Vec<usize>,
     golden: ResponseMap,
 }
@@ -53,7 +57,7 @@ impl<'a> FaultSimulator<'a> {
     /// the netlist interface.
     pub fn new(
         netlist: &'a Netlist,
-        view: &'a ScanView,
+        view: &ScanView,
         patterns: &'a PatternSet,
     ) -> Result<Self, PatternShapeError> {
         let sim = Simulator::new(netlist, patterns)?;
@@ -62,26 +66,13 @@ impl<'a> FaultSimulator<'a> {
             .collect();
         let golden = {
             let _span = scan_obs::span!("golden");
-            Self::response_with(&sim, &observed_nets, view.len(), None)
+            Self::response_with(&sim, &observed_nets, None)
         };
         Ok(FaultSimulator {
             sim,
-            view,
             observed_nets,
             golden,
         })
-    }
-
-    /// The scan view responses are observed through.
-    #[must_use]
-    pub fn view(&self) -> &'a ScanView {
-        self.view
-    }
-
-    /// The netlist under test.
-    #[must_use]
-    pub fn netlist(&self) -> &'a Netlist {
-        self.sim.netlist()
     }
 
     /// The fault-free response.
@@ -94,7 +85,7 @@ impl<'a> FaultSimulator<'a> {
     /// faulty response map.
     #[must_use]
     pub fn response(&self, fault: &Fault) -> ResponseMap {
-        Self::response_with(&self.sim, &self.observed_nets, self.view.len(), Some(fault))
+        Self::response_with(&self.sim, &self.observed_nets, Some(fault))
     }
 
     /// Simulates `fault` and returns its error map (faulty XOR golden).
@@ -107,10 +98,9 @@ impl<'a> FaultSimulator<'a> {
     /// Simulates all of `faults` *simultaneously* and returns the full
     /// faulty response — the paper's multiple-fault scenario (Fig. 2's
     /// overlapping or disjoint fault cones).
-    #[must_use]
-    pub fn response_multi(&self, faults: &[Fault]) -> ResponseMap {
+    fn response_multi(&self, faults: &[Fault]) -> ResponseMap {
         let patterns = self.sim.patterns();
-        let mut response = ResponseMap::zeroed(self.view.len(), patterns.num_patterns());
+        let mut response = ResponseMap::zeroed(self.observed_nets.len(), patterns.num_patterns());
         let mut values = vec![0u64; self.sim.netlist().num_nets()];
         for word in 0..patterns.num_words() {
             self.sim.eval_word_multi(word, faults, &mut values);
@@ -139,11 +129,10 @@ impl<'a> FaultSimulator<'a> {
     fn response_with(
         sim: &Simulator<'a>,
         observed_nets: &[usize],
-        positions: usize,
         fault: Option<&Fault>,
     ) -> ResponseMap {
         let patterns = sim.patterns();
-        let mut response = ResponseMap::zeroed(positions, patterns.num_patterns());
+        let mut response = ResponseMap::zeroed(observed_nets.len(), patterns.num_patterns());
         let mut values = vec![0u64; sim.netlist().num_nets()];
         for word in 0..patterns.num_words() {
             sim.eval_word(word, fault, &mut values);
@@ -167,7 +156,7 @@ impl<'a> FaultSimulator<'a> {
     #[must_use]
     pub fn sample_detected_faults(&self, count: usize, seed: u64) -> Vec<Fault> {
         let _span = scan_obs::span!("sample_detected");
-        let faults = shuffled_candidate_faults(self.netlist(), seed);
+        let faults = shuffled_candidate_faults(self.sim.netlist(), seed);
         let mut detected = Vec::with_capacity(count);
         let mut tried = 0u64;
         for fault in faults {
@@ -201,7 +190,7 @@ impl<'a> FaultSimulator<'a> {
     ) -> Vec<Vec<Fault>> {
         assert!(size >= 1, "multiplet size must be at least 1");
         let _span = scan_obs::span!("sample_detected");
-        let faults = shuffled_candidate_faults(self.netlist(), seed ^ MULTIPLET_SEED_TAG);
+        let faults = shuffled_candidate_faults(self.sim.netlist(), seed ^ MULTIPLET_SEED_TAG);
         let mut result = Vec::with_capacity(count);
         let mut tried = 0u64;
         for chunk in faults.chunks_exact(size) {

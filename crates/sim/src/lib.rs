@@ -4,41 +4,44 @@
 //! This crate is the simulation substrate of the scan-BIST diagnosis
 //! workspace:
 //!
+//! * [`PpsfpSimulator`] — the one production fault-simulation engine:
+//!   64-wide PPSFP with cone-limited word sweeps, fault dropping
+//!   ([`PpsfpSimulator::detects`]) and single-pass sampling that keeps
+//!   each detection's [`ErrorMap`]
+//!   ([`PpsfpSimulator::sample_detected_with_maps`], the paper's
+//!   500-fault campaigns), observed over a
+//!   [`ScanView`](scan_netlist::ScanView);
 //! * [`PatternSet`] — bit-packed full-scan stimuli (64 patterns/word),
 //!   buildable from any serial bit stream (e.g. an LFSR PRPG);
 //! * [`Simulator`] — levelized bit-parallel evaluation with optional
 //!   stuck-at fault injection (stem or fanout-branch pin);
 //! * [`Fault`] / [`FaultUniverse`] — stuck-at fault enumeration with
-//!   classical equivalence collapsing;
-//! * [`FaultSimulator`] — golden/faulty response computation and
-//!   [`ErrorMap`] extraction over a
-//!   [`ScanView`](scan_netlist::ScanView), plus reproducible sampling
-//!   of detected faults (the paper's 500-fault campaigns);
-//! * [`PpsfpSimulator`] — the 64-wide PPSFP campaign engine: cone-
-//!   limited word sweeps, fault dropping, and single-pass sampling
-//!   that keeps each detection's error map. It is the one production
-//!   engine; [`FaultSimulator`] is its deliberately simple reference
-//!   oracle (`tests/oracle_diff.rs` keeps the two bit-identical).
+//!   classical equivalence collapsing.
+//!
+//! `FaultSimulator` (hidden from these docs) is the deliberately simple
+//! whole-circuit test oracle: `tests/oracle_diff.rs` keeps it and
+//! [`PpsfpSimulator`] bit-identical, and only the hardware-path
+//! `VirtualTester` in `scan-diagnosis` uses it outside tests.
 //!
 //! # Examples
 //!
 //! ```
 //! use scan_netlist::{bench, ScanView};
-//! use scan_sim::{FaultSimulator, FaultUniverse, PatternSet};
+//! use scan_sim::{FaultUniverse, PatternSet, PpsfpSimulator};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let s27 = bench::s27();
 //! let view = ScanView::natural(&s27, true);
 //! let patterns = PatternSet::pseudo_random(4, 3, 128, 1);
-//! let fsim = FaultSimulator::new(&s27, &view, &patterns)?;
+//! let mut psim = PpsfpSimulator::new(&s27, &view, &patterns)?;
 //!
 //! let universe = FaultUniverse::collapsed(&s27);
-//! let detected = universe
-//!     .faults()
-//!     .iter()
-//!     .filter(|f| fsim.is_detected(f))
-//!     .count();
+//! let detected = universe.faults().iter().filter(|f| psim.detects(f)).count();
 //! assert!(detected > 0);
+//!
+//! // Detected faults with the error maps that proved them detected.
+//! let cases = psim.sample_detected_with_maps(5, 2003);
+//! assert!(cases.iter().all(|(_, errors)| errors.is_detected()));
 //! # Ok(())
 //! # }
 //! ```
@@ -61,6 +64,8 @@ mod simulator;
 pub use chain_fault::{locate_chain_fault, simulate_chain_fault, ChainFault};
 pub use error::PatternShapeError;
 pub use fault::{site_has_fanout, Fault, FaultSite, FaultUniverse};
+/// The whole-circuit test oracle; production code uses [`PpsfpSimulator`].
+#[doc(hidden)]
 pub use fault_sim::FaultSimulator;
 pub use ppsfp::PpsfpSimulator;
 pub use sequential::SequentialSimulator;

@@ -6,7 +6,7 @@
 //! *per-word* scratch image of the fault-free net values, so a fault
 //! costs only its touched nets — there is no whole-image resynchronize
 //! between words and no whole-circuit re-evaluation at all, unlike
-//! [`FaultSimulator`](crate::FaultSimulator).
+//! `FaultSimulator`.
 //!
 //! Three things make it the campaign workhorse:
 //!
@@ -26,7 +26,7 @@
 //!
 //! It is the workspace's one production fault-simulation engine and is
 //! bit-exact with the whole-circuit reference oracle
-//! [`FaultSimulator`](crate::FaultSimulator); the differential harness
+//! `FaultSimulator`; the differential harness
 //! `tests/oracle_diff.rs` checks golden responses, error maps, and the
 //! sampled fault order over generated circuits.
 
@@ -146,14 +146,14 @@ impl<'a> PpsfpSimulator<'a> {
     }
 
     /// Simulates `fault` and returns its error map. Bit-exact with
-    /// [`FaultSimulator::error_map`](crate::FaultSimulator::error_map).
+    /// `FaultSimulator::error_map`.
     pub fn error_map(&mut self, fault: &Fault) -> ErrorMap {
         self.error_map_multi(std::slice::from_ref(fault))
     }
 
     /// Error map of several *simultaneous* faults (the paper's
     /// multiple-fault scenario). Bit-exact with
-    /// [`FaultSimulator::error_map_multi`](crate::FaultSimulator::error_map_multi):
+    /// `FaultSimulator::error_map_multi`:
     /// if two faults force the same site, the last one in the slice
     /// wins.
     pub fn error_map_multi(&mut self, faults: &[Fault]) -> ErrorMap {
@@ -330,7 +330,7 @@ impl<'a> PpsfpSimulator<'a> {
     /// campaign keeps, so no fault is ever simulated twice.
     ///
     /// Samples from the exact candidate sequence of
-    /// [`FaultSimulator::sample_detected_faults`](crate::FaultSimulator::sample_detected_faults)
+    /// `FaultSimulator::sample_detected_faults`
     /// (same universe, same shuffle, same verdicts), so the oracle can
     /// replay any campaign's fault sample.
     pub fn sample_detected_with_maps(&mut self, count: usize, seed: u64) -> Vec<(Fault, ErrorMap)> {
@@ -356,7 +356,7 @@ impl<'a> PpsfpSimulator<'a> {
     /// Single-pass multiplet sampling: like
     /// [`PpsfpSimulator::sample_detected_with_maps`] but injecting
     /// `size` simultaneous faults per candidate chunk, matching
-    /// [`FaultSimulator::sample_detected_multiplets`](crate::FaultSimulator::sample_detected_multiplets).
+    /// `FaultSimulator::sample_detected_multiplets`.
     ///
     /// # Panics
     ///

@@ -17,11 +17,15 @@
 //!   `sample_detected_multiplets` + `error_map_multi`.
 //!
 //! Pattern counts are always ragged (never a multiple of 64), so the
-//! masked last word is in play in every case.
+//! masked last word is in play in every case; a single pattern (the
+//! sets ATPG fault dropping simulates) is one of the draws. Patterns
+//! are uniform pseudo-random or weighted per input (the sets the
+//! weighted-coverage experiment simulates).
 
 use scan_netlist::generate::{generate_with, profile, GeneratorConfig};
 use scan_netlist::{Netlist, ScanOrdering, ScanView};
 use scan_rng::testkit::{Gen, Runner};
+use scan_rng::ScanRng;
 use scan_sim::{FaultSimulator, FaultUniverse, PatternSet, PpsfpSimulator};
 
 fn random_circuit(g: &mut Gen) -> Netlist {
@@ -39,12 +43,24 @@ fn random_view(g: &mut Gen, n: &Netlist) -> ScanView {
     ScanView::ordered(n, ordering, g.bool("include_outputs"))
 }
 
-/// A pseudo-random pattern set whose size is `64·k + tail` with
-/// `1 ≤ tail ≤ 63`, so the last word is always partially masked.
+/// A pattern set of exactly one pattern or of `64·k + tail` patterns
+/// with `1 ≤ tail ≤ 63`, so the last word is always partially masked;
+/// its bits are uniform pseudo-random or drawn with per-input weights.
 fn ragged_patterns(g: &mut Gen, n: &Netlist) -> PatternSet {
-    let num_patterns = 64 * g.usize("full_words", 0, 3) + g.usize("tail", 1, 63);
+    let num_patterns = if g.bool("single_pattern") {
+        1
+    } else {
+        64 * g.usize("full_words", 0, 3) + g.usize("tail", 1, 63)
+    };
     let seed = g.u64("pattern_seed", 0, 1 << 20);
-    PatternSet::pseudo_random(n.num_inputs(), n.num_dffs(), num_patterns, seed)
+    if g.bool("weighted") {
+        let (pis, dffs) = (n.num_inputs(), n.num_dffs());
+        let pi_weights = g.vec("pi_weights", pis, pis, ScanRng::next_f64);
+        let state_weights = g.vec("state_weights", dffs, dffs, ScanRng::next_f64);
+        PatternSet::weighted(num_patterns, seed, &pi_weights, &state_weights)
+    } else {
+        PatternSet::pseudo_random(n.num_inputs(), n.num_dffs(), num_patterns, seed)
+    }
 }
 
 /// Golden responses and every fault's error map agree, and fault

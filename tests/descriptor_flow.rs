@@ -3,6 +3,7 @@
 
 use scan_bist_suite::diagnosis::chain_mask::{analyze_chain_masked, diagnose_chain_masked};
 use scan_bist_suite::prelude::*;
+use scan_bist_suite::sim::FaultSimulator;
 
 const TRIO_SOC: &str = "
 # three small cores on a 2-bit TAM

@@ -3,6 +3,7 @@
 
 use scan_bist_suite::prelude::*;
 use scan_bist_suite::netlist::{bench, generate};
+use scan_bist_suite::sim::FaultSimulator;
 
 fn s953() -> Netlist {
     generate::benchmark("s953")

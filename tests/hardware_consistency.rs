@@ -6,6 +6,7 @@ use scan_bist_suite::prelude::*;
 use scan_bist_suite::bist::selection::{SelectionHardware, SelectionMode};
 use scan_bist_suite::bist::seed::find_interval_seed;
 use scan_bist_suite::netlist::generate;
+use scan_bist_suite::sim::FaultSimulator;
 
 #[test]
 fn hardware_masks_reproduce_two_step_partitions() {
