@@ -24,6 +24,14 @@ pub enum BuildPlanError {
         /// The offending degree.
         degree: u32,
     },
+    /// More groups were requested than the longest chain has cells, so
+    /// some group would select no shift position.
+    TooManyGroups {
+        /// Requested groups per partition.
+        groups: u16,
+        /// Cells in the longest chain.
+        cells: usize,
+    },
 }
 
 impl fmt::Display for BuildPlanError {
@@ -43,6 +51,10 @@ impl fmt::Display for BuildPlanError {
             BuildPlanError::UnsupportedDegree { degree } => {
                 write!(f, "unsupported LFSR/MISR degree {degree}")
             }
+            BuildPlanError::TooManyGroups { groups, cells } => write!(
+                f,
+                "{groups} groups exceed the {cells} cells of the longest scan chain"
+            ),
         }
     }
 }
@@ -153,6 +165,15 @@ mod tests {
         }
         .to_string();
         assert!(text.contains('8') && text.contains("12"), "{text}");
+        let text = BuildPlanError::TooManyGroups {
+            groups: 8,
+            cells: 4,
+        }
+        .to_string();
+        assert!(
+            text.contains("8 groups") && text.contains("4 cells"),
+            "{text}"
+        );
     }
 
     #[test]

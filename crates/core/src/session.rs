@@ -295,8 +295,9 @@ impl DiagnosisPlan {
     /// # Errors
     ///
     /// Returns [`BuildPlanError`] if the configuration is degenerate,
-    /// the MISR cannot host one stage per chain, or a degree is
-    /// unsupported.
+    /// the MISR cannot host one stage per chain, a degree is
+    /// unsupported, or there are more groups than cells in the longest
+    /// chain.
     pub fn new(
         layout: ChainLayout,
         num_patterns: usize,
@@ -306,8 +307,14 @@ impl DiagnosisPlan {
             return Err(BuildPlanError::DegenerateConfig);
         }
         let model = ResponseModel::new(layout, num_patterns, config.misr_degree)?;
-        let mut partition_config =
-            PartitionConfig::new(model.layout().max_len(), config.groups);
+        let cells = model.layout().max_len();
+        if usize::from(config.groups) > cells {
+            return Err(BuildPlanError::TooManyGroups {
+                groups: config.groups,
+                cells,
+            });
+        }
+        let mut partition_config = PartitionConfig::new(cells, config.groups);
         partition_config.lfsr_degree = config.partition_lfsr_degree;
         partition_config.seed = config.partition_seed;
         let partitions = generate_partitions(&partition_config, config.scheme, config.partitions);
@@ -437,6 +444,15 @@ mod tests {
             &BistConfig::new(groups, parts, Scheme::RandomSelection),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn more_groups_than_cells_is_an_error_not_a_panic() {
+        let config = BistConfig::new(8, 3, Scheme::RandomSelection);
+        let err = DiagnosisPlan::new(ChainLayout::single_chain(4), 16, &config).unwrap_err();
+        assert_eq!(err, BuildPlanError::TooManyGroups { groups: 8, cells: 4 });
+        // One group per cell is still a valid plan.
+        assert_eq!(plan(4, 16, 4, 3).partitions().len(), 3);
     }
 
     #[test]

@@ -179,6 +179,29 @@ fn malformed_lines_get_error_lines_not_connection_drops() {
 }
 
 #[test]
+fn more_groups_than_cells_is_a_bad_plan_not_a_worker_panic() {
+    let _gate = lock();
+    let daemon = Daemon::start(DaemonConfig::default()).expect("start");
+    let addr = daemon.addr();
+
+    // s27's scan view has 4 cells; 8 groups cannot be formed.
+    let line = "{\"id\":\"g\",\"circuit\":\"s27\",\"groups\":8,\"partitions\":3,\
+                \"patterns\":16,\"failing\":[[1],[],[]]}\n";
+    let reply = post_diagnose(addr, line);
+    assert_eq!(reply.status, 200, "body: {}", reply.body);
+    let lines = reply.lines();
+    assert_eq!(lines.len(), 1);
+    assert_eq!(field(lines[0], "status"), Some("error"), "{}", lines[0]);
+    assert_eq!(field(lines[0], "code"), Some("bad-plan"), "{}", lines[0]);
+    assert_eq!(field(lines[0], "http"), Some("400"), "{}", lines[0]);
+    // The daemon still serves a valid request afterwards.
+    let ok = post_diagnose(addr, &format!("{}\n", s27_line("after")));
+    assert_eq!(field(ok.lines()[0], "status"), Some("ok"), "{}", ok.body);
+
+    daemon.shutdown();
+}
+
+#[test]
 fn full_queue_sheds_the_batch_with_429_and_retry_after() {
     let _gate = lock();
     let daemon = Daemon::start(DaemonConfig {
@@ -222,8 +245,9 @@ fn expired_deadline_returns_504_and_cancels_work() {
     .expect("start");
     let addr = daemon.addr();
 
-    // deadline_ms=1 cannot cover a cold s953 plan build.
-    let batch = "{\"id\":\"late\",\"circuit\":\"s953\",\"groups\":8,\"partitions\":6,\
+    // deadline_ms=1 cannot cover a cold plan build of the largest
+    // circuit (s953's now takes about 1 ms, too close to the deadline).
+    let batch = "{\"id\":\"late\",\"circuit\":\"s38417\",\"groups\":8,\"partitions\":6,\
                  \"patterns\":64,\"deadline_ms\":1,\"failing\":[[1],[2],[],[],[],[]]}\n";
     let reply = post_diagnose(addr, batch);
     assert_eq!(reply.status, 504, "body: {}", reply.body);

@@ -111,6 +111,11 @@ fn every_campaign_error_variant_is_pinned() {
             400,
         ),
         (
+            CampaignError::Plan(BuildPlanError::TooManyGroups { groups: 8, cells: 4 }),
+            "bad-plan",
+            400,
+        ),
+        (
             CampaignError::NoSuchCore {
                 core: 9,
                 available: 4,

@@ -13,11 +13,33 @@
 //! scan cells cluster in the scan chain — exactly the behaviour
 //! interval-based partitioning exploits. See `DESIGN.md` §5 for the full
 //! substitution rationale.
+//!
+//! # Input draw
+//!
+//! A gate draws its inputs one at a time from every finished layer (the
+//! sources, then each finished level of the gate cloud), among the nets
+//! within `locality` of its own position; the window doubles until it
+//! holds a candidate. Nets no gate reads yet ("fresh") are preferred
+//! four to one over nets already read ("seen"). Each layer keeps its
+//! nets in position order with a Fenwick tree over their read flags, so
+//! a window's fresh and seen counts are two prefix sums per layer and
+//! the k-th candidate is one tree descent: a draw costs
+//! O(levels · log n) rather than a scan of the window.
+//!
+//! **Determinism contract.** The netlist is a pure function of
+//! `(profile, seed, config)`. The random draws are exactly those of
+//! listing the window's candidates (layers in order, each in position
+//! order, nets already picked for this gate left out) and indexing that
+//! list: one `gen_bool(0.8)` only when both the fresh and the seen list
+//! are non-empty, then one `gen_index`. Nets are numbered in creation
+//! order. `tests/generate_digests.rs` pins the `to_bench_string()`
+//! digest of every shipped profile, so any change to this sequence
+//! shows up as a test failure.
 
 use scan_rng::ScanRng;
 
 use crate::gate::GateKind;
-use crate::{Netlist, NetlistBuilder};
+use crate::{NetId, Netlist, NetlistBuilder};
 
 /// Published interface statistics of a benchmark circuit.
 #[derive(Clone, Copy, Eq, PartialEq, Debug)]
@@ -137,6 +159,10 @@ impl Default for GeneratorConfig {
 /// [`ScanView::natural`](crate::ScanView::natural) yields a
 /// locality-respecting scan chain.
 ///
+/// # Panics
+///
+/// As [`generate_with`].
+///
 /// # Examples
 ///
 /// ```
@@ -156,41 +182,45 @@ pub fn generate(profile: &CircuitProfile, seed: u64) -> Netlist {
 ///
 /// # Panics
 ///
-/// Panics only if the generator violates its own structural invariants
-/// (which would be a bug, not a caller error).
+/// Panics if `config.locality` is not positive (the window would never
+/// widen), or if a gate needs more distinct inputs than the profile has
+/// nets to offer at that point, as in a one-input, flip-flop-free
+/// profile with two-input gates; the message names the profile. Every
+/// shipped profile generates without panicking.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConfig) -> Netlist {
+    assert!(
+        config.locality > 0.0,
+        "generator locality must be positive, got {}",
+        config.locality
+    );
     let mut rng = ScanRng::seed_from_u64(seed ^ hash_name(profile.name));
     let mut b = NetlistBuilder::new(profile.name);
 
     // Source nets with positions: PIs spread uniformly, FF outputs at
     // their index position (scan order == position order).
-    let mut sources: Vec<(f64, String)> = Vec::new();
+    let mut sources: Vec<(f64, NetId)> = Vec::new();
     for i in 0..profile.inputs {
-        let name = format!("pi{i}");
-        b.input(&name);
         let pos = (i as f64 + 0.5) / profile.inputs.max(1) as f64;
-        sources.push((pos, name));
+        sources.push((pos, b.input(&format!("pi{i}"))));
     }
     let mut ff_d_names = Vec::with_capacity(profile.dffs);
     for i in 0..profile.dffs {
-        let q = format!("q{i}");
         let d = format!("d{i}");
-        b.dff(&q, &d);
+        let q = b.dff(&format!("q{i}"), &d);
         let pos = (i as f64 + 0.5) / profile.dffs.max(1) as f64;
         sources.push((pos, q));
         ff_d_names.push((pos, d));
     }
-    sources.sort_by(|a, b| a.0.total_cmp(&b.0));
-    // Nets already read by some gate (dangling-logic avoidance).
-    // lint:allow(L014): membership-only set (contains/insert), never iterated
-    let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let mut pool = NetPool {
+        profile: profile.name,
+        locality: config.locality,
+        layers: vec![Layer::new(sources)],
+    };
 
     // Gate cloud: `levels` layers; each layer draws inputs from a window
     // around its position in all previous layers (and the sources).
     let levels = config.levels.max(1);
-    let mut layers: Vec<Vec<(f64, String)>> = vec![sources];
     let mut remaining = profile.gates;
     // Reserve one gate per FF D-input and per PO for the final hookup
     // stage so total gate count ≈ profile.gates.
@@ -214,13 +244,10 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
             } else {
                 rng.gen_range_inclusive(2, config.max_fanin)
             };
-            let inputs = pick_inputs(&mut rng, &layers, &mut used, pos, fanin, config.locality);
-            let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-            b.gate(kind, &name, &input_refs);
-            layer.push((pos, name));
+            let inputs = pool.pick_inputs(&mut rng, pos, fanin);
+            layer.push((pos, b.gate_from_ids(kind, &name, inputs)));
         }
-        layer.sort_by(|a, b| a.0.total_cmp(&b.0));
-        layers.push(layer);
+        pool.layers.push(Layer::new(layer));
     }
     remaining = remaining.saturating_sub(cloud);
 
@@ -229,9 +256,8 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
     for (pos, d) in &ff_d_names {
         let kind = pick_kind_nonunary(&mut rng, config);
         let fanin = rng.gen_range_inclusive(2, config.max_fanin);
-        let inputs = pick_inputs(&mut rng, &layers, &mut used, *pos, fanin, config.locality);
-        let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-        b.gate(kind, d, &input_refs);
+        let inputs = pool.pick_inputs(&mut rng, *pos, fanin);
+        b.gate_from_ids(kind, d, inputs);
         remaining = remaining.saturating_sub(1);
     }
     // Hook up POs similarly.
@@ -240,9 +266,8 @@ pub fn generate_with(profile: &CircuitProfile, seed: u64, config: &GeneratorConf
         let pos = (i as f64 + 0.5) / profile.outputs.max(1) as f64;
         let kind = pick_kind_nonunary(&mut rng, config);
         let fanin = rng.gen_range_inclusive(2, config.max_fanin);
-        let inputs = pick_inputs(&mut rng, &layers, &mut used, pos, fanin, config.locality);
-        let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-        b.gate(kind, &name, &input_refs);
+        let inputs = pool.pick_inputs(&mut rng, pos, fanin);
+        b.gate_from_ids(kind, &name, inputs);
         b.output(&name);
     }
 
@@ -311,66 +336,195 @@ fn pick_kind_nonunary(rng: &mut ScanRng, config: &GeneratorConfig) -> GateKind {
     }
 }
 
-/// Picks `fanin` distinct nets from the accumulated layers, preferring
-/// nets whose position lies within `locality` of `pos`. The window is
-/// widened geometrically until enough candidates exist. Among the
-/// window's candidates, nets that are not yet read by any gate are
-/// preferred, which keeps the dangling-logic fraction (and hence the
-/// unobservable-fault fraction) low.
-fn pick_inputs(
-    rng: &mut ScanRng,
-    layers: &[Vec<(f64, String)>],
-    used: &mut std::collections::HashSet<String>,
-    pos: f64,
-    fanin: usize,
-    locality: f64,
-) -> Vec<String> {
-    let mut chosen: Vec<String> = Vec::with_capacity(fanin);
-    let mut window = locality;
-    while chosen.len() < fanin {
-        // Collect candidates in the window across all existing layers.
-        let mut fresh: Vec<&String> = Vec::new();
-        let mut seen: Vec<&String> = Vec::new();
-        for layer in layers {
-            let lo = layer.partition_point(|(p, _)| *p < pos - window);
-            let hi = layer.partition_point(|(p, _)| *p <= pos + window);
-            for (_, name) in &layer[lo..hi] {
-                if chosen.iter().any(|c| c == name) {
-                    continue;
-                }
-                if used.contains(name) {
-                    seen.push(name);
-                } else {
-                    fresh.push(name);
+/// One layer of drawable nets (the sources, or one finished level of
+/// the gate cloud) in position order, with a Fenwick tree over the
+/// "already read by some gate" flags so that windowed counts and
+/// rank selection are O(log n).
+struct Layer {
+    nets: Vec<(f64, NetId)>,
+    used: Vec<bool>,
+    /// 1-based Fenwick tree: `tree[i]` counts the used nets in
+    /// `(i - lowbit(i), i]` (1-based positions).
+    tree: Vec<u32>,
+}
+
+impl Layer {
+    fn new(mut nets: Vec<(f64, NetId)>) -> Self {
+        // Stable, so nets at equal positions keep their creation order.
+        nets.sort_by(|a, b| a.0.total_cmp(&b.0));
+        Layer {
+            used: vec![false; nets.len()],
+            tree: vec![0; nets.len() + 1],
+            nets,
+        }
+    }
+
+    /// The index range of nets whose position lies in
+    /// `[pos - window, pos + window]`.
+    fn window(&self, pos: f64, window: f64) -> (usize, usize) {
+        let lo = self.nets.partition_point(|(p, _)| *p < pos - window);
+        let hi = self.nets.partition_point(|(p, _)| *p <= pos + window);
+        (lo, hi)
+    }
+
+    /// Number of nets of class `used` among indices `0..end`.
+    fn count_before(&self, end: usize, used: bool) -> usize {
+        let mut ones = 0;
+        let mut i = end;
+        while i > 0 {
+            ones += self.tree[i] as usize;
+            i &= i - 1;
+        }
+        if used {
+            ones
+        } else {
+            end - ones
+        }
+    }
+
+    /// Index of the `rank`-th (0-based) net of class `used`, by Fenwick
+    /// descent.
+    fn select(&self, mut rank: usize, used: bool) -> usize {
+        let len = self.used.len();
+        let mut at = 0;
+        let mut step = len.checked_ilog2().map_or(0, |bit| 1 << bit);
+        while step > 0 {
+            let next = at + step;
+            if next <= len {
+                // Node `next` covers exactly the `step` positions after `at`.
+                let ones = self.tree[next] as usize;
+                let count = if used { ones } else { step - ones };
+                if count <= rank {
+                    at = next;
+                    rank -= count;
                 }
             }
+            step >>= 1;
         }
-        // Prefer unread nets most of the time; mixing in some reuse
-        // keeps fanout (and therefore branch faults) realistic.
-        let pool = if !fresh.is_empty() && (seen.is_empty() || rng.gen_bool(0.8)) {
-            &fresh
-        } else {
-            &seen
-        };
-        if pool.is_empty() {
-            window *= 2.0;
-            if window > 1.0 {
-                // Degenerate (shouldn't happen: sources always exist);
-                // fall back to any net from the first layer.
-                let any = &layers[0][rng.gen_index(layers[0].len())].1;
-                if !chosen.iter().any(|c| c == any) {
-                    chosen.push(any.clone());
+        at
+    }
+
+    fn mark_used(&mut self, index: usize) {
+        // A seen net drawn again is already counted.
+        if self.used[index] {
+            return;
+        }
+        self.used[index] = true;
+        let mut i = index + 1;
+        while i < self.tree.len() {
+            self.tree[i] += 1;
+            i += i & i.wrapping_neg();
+        }
+    }
+}
+
+/// One layer's share of a draw window: its index range and how many
+/// nets of each class (`[fresh, seen]`) it holds, this gate's earlier
+/// picks left out.
+struct Span {
+    lo: usize,
+    hi: usize,
+    count: [usize; 2],
+}
+
+/// Every net a gate may read so far, layer by layer.
+struct NetPool {
+    profile: &'static str,
+    locality: f64,
+    layers: Vec<Layer>,
+}
+
+impl NetPool {
+    /// Picks `fanin` distinct nets, preferring nets whose position lies
+    /// within `locality` of `pos`. The window is widened geometrically
+    /// until it holds a candidate. Among the window's candidates, nets
+    /// not yet read by any gate ("fresh") are preferred, which keeps the
+    /// dangling-logic fraction (and hence the unobservable-fault
+    /// fraction) low. The module docs give the draw sequence this must
+    /// keep.
+    fn pick_inputs(&mut self, rng: &mut ScanRng, pos: f64, fanin: usize) -> Vec<NetId> {
+        let nets: usize = self.layers.iter().map(|layer| layer.nets.len()).sum();
+        // Otherwise the fallback below would re-draw picked nets forever.
+        assert!(
+            nets >= fanin,
+            "profile `{}`: a gate needs {fanin} distinct inputs, more than the {nets} nets generated so far",
+            self.profile,
+        );
+        // (layer, index) of each pick, in pick order.
+        let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(fanin);
+        let mut spans: Vec<Span> = Vec::with_capacity(self.layers.len());
+        let mut window = self.locality;
+        while chosen.len() < fanin {
+            let mut totals = [0, 0];
+            spans.clear();
+            for (l, layer) in self.layers.iter().enumerate() {
+                let (lo, hi) = layer.window(pos, window);
+                let seen = layer.count_before(hi, true) - layer.count_before(lo, true);
+                let mut count = [hi - lo - seen, seen];
+                for &(_, i) in chosen
+                    .iter()
+                    .filter(|&&(cl, i)| cl == l && (lo..hi).contains(&i))
+                {
+                    count[usize::from(layer.used[i])] -= 1;
+                }
+                totals[0] += count[0];
+                totals[1] += count[1];
+                spans.push(Span { lo, hi, count });
+            }
+            // Prefer unread nets most of the time; mixing in some reuse
+            // keeps fanout (and therefore branch faults) realistic.
+            let want_fresh = totals[0] > 0 && (totals[1] == 0 || rng.gen_bool(0.8));
+            let class = !want_fresh;
+            let total = totals[usize::from(class)];
+            if total == 0 {
+                window *= 2.0;
+                if window > 1.0 {
+                    // Whole-space fallback: any source net, which is
+                    // not marked used.
+                    let any = (0, rng.gen_index(self.layers[0].nets.len()));
+                    if !chosen.contains(&any) {
+                        chosen.push(any);
+                    }
                 }
                 continue;
             }
-            continue;
+            let mut k = rng.gen_index(total);
+            for (l, span) in spans.iter().enumerate() {
+                let in_span = span.count[usize::from(class)];
+                if k >= in_span {
+                    k -= in_span;
+                    continue;
+                }
+                // The k-th candidate of this span is the class member of
+                // rank `rank`, once every chosen class member at or below
+                // that rank (taken in ascending order) is stepped past.
+                let layer = &mut self.layers[l];
+                let mut skip: Vec<usize> = chosen
+                    .iter()
+                    .filter(|&&(cl, i)| {
+                        cl == l && (span.lo..span.hi).contains(&i) && layer.used[i] == class
+                    })
+                    .map(|&(_, i)| i)
+                    .collect();
+                skip.sort_unstable();
+                let mut rank = layer.count_before(span.lo, class) + k;
+                for i in skip {
+                    if layer.count_before(i, class) <= rank {
+                        rank += 1;
+                    }
+                }
+                let index = layer.select(rank, class);
+                layer.mark_used(index);
+                chosen.push((l, index));
+                break;
+            }
+            window = self.locality;
         }
-        let pick = pool[rng.gen_index(pool.len())];
-        chosen.push(pick.clone());
-        used.insert(pick.clone());
-        window = locality;
+        chosen
+            .into_iter()
+            .map(|(l, i)| self.layers[l].nets[i].1)
+            .collect()
     }
-    chosen
 }
 
 #[cfg(test)]
@@ -438,6 +592,45 @@ mod tests {
     #[should_panic(expected = "unknown benchmark")]
     fn benchmark_rejects_unknown_names() {
         let _ = benchmark("s999999");
+    }
+
+    #[test]
+    #[should_panic(expected = "profile `tiny`: a gate needs")]
+    fn too_few_nets_for_a_gate_panics_instead_of_hanging() {
+        let p = CircuitProfile {
+            name: "tiny",
+            inputs: 1,
+            outputs: 1,
+            dffs: 0,
+            gates: 4,
+        };
+        let _ = generate(&p, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "locality must be positive")]
+    fn zero_locality_panics_instead_of_hanging() {
+        let config = GeneratorConfig {
+            locality: 0.0,
+            ..GeneratorConfig::default()
+        };
+        let _ = generate_with(profile("s27").unwrap(), 1, &config);
+    }
+
+    #[test]
+    fn layer_select_inverts_count_before() {
+        let mut layer = Layer::new((0..37).map(|i| (f64::from(i), NetId(i))).collect());
+        for i in [0, 3, 4, 10, 31, 36] {
+            layer.mark_used(i);
+        }
+        layer.mark_used(4);
+        for used in [false, true] {
+            let members: Vec<usize> = (0..37).filter(|&i| layer.used[i] == used).collect();
+            for (rank, &index) in members.iter().enumerate() {
+                assert_eq!(layer.select(rank, used), index);
+                assert_eq!(layer.count_before(index, used), rank);
+            }
+        }
     }
 
     #[test]

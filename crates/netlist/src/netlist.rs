@@ -280,6 +280,21 @@ impl NetlistBuilder {
     pub fn gate(&mut self, kind: GateKind, output: &str, inputs: &[&str]) -> NetId {
         let out = self.net(output);
         let ins: Vec<NetId> = inputs.iter().map(|n| self.net(n)).collect();
+        self.push_gate(kind, out, ins)
+    }
+
+    /// [`NetlistBuilder::gate`] over input nets that already exist.
+    pub(crate) fn gate_from_ids(
+        &mut self,
+        kind: GateKind,
+        output: &str,
+        inputs: Vec<NetId>,
+    ) -> NetId {
+        let out = self.net(output);
+        self.push_gate(kind, out, inputs)
+    }
+
+    fn push_gate(&mut self, kind: GateKind, out: NetId, ins: Vec<NetId>) -> NetId {
         let gid = GateId(self.gates.len() as u32);
         self.gates.push(Gate {
             kind,
